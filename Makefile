@@ -49,9 +49,9 @@ gateway-bench:
 	$(GO) run ./cmd/eppi-gateway -selfbench 20000 -baseline BENCH_gateway.json
 	scripts/bench_guard.sh BENCH_gateway.json
 
-# Append a scalar-vs-wide secure-construction measurement (CountBelow/Reveal
-# stage wall time and AND-gate-instance throughput) to BENCH_mpc.json, then
-# fail if the wide throughput regressed >20% vs the previous entry.
+# Append a secure-construction measurement (CountBelow/Reveal stage wall
+# time and AND-gate-instance throughput) to BENCH_mpc.json, then fail if
+# the throughput regressed >20% vs the previous entry.
 bench-mpc:
 	$(GO) run ./cmd/eppi-bench -mpcbench BENCH_mpc.json
 	$(GO) run ./scripts/benchguard -mpc BENCH_mpc.json

@@ -22,10 +22,8 @@
 // run, for `go tool pprof` / `go tool trace` analysis of the protocol
 // implementations at paper scale.
 //
-// -wide evaluates the secure-construction experiments with the bit-sliced
-// 64-wide GMW evaluator (identical published results, different protocol
-// cost). -mpcbench FILE runs the dedicated scalar-vs-wide construction
-// benchmark and appends the measurement to FILE (see `make bench-mpc`).
+// -mpcbench FILE runs the dedicated secure-construction MPC benchmark and
+// appends the measurement to FILE (see `make bench-mpc`).
 package main
 
 import (
@@ -68,8 +66,7 @@ func run(args []string, out io.Writer) error {
 	format := fs.String("format", "text", "output format: text|csv")
 	transportName := fs.String("transport", "inmem", "protocol transport for fig6a/fig6c: inmem|tcp")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); results are identical at any value")
-	wide := fs.Bool("wide", false, "run secure-construction experiments (fig6a/fig6c) with the bit-sliced 64-wide GMW evaluator")
-	mpcBench := fs.String("mpcbench", "", "run the scalar-vs-wide MPC benchmark and append the measurement to this JSON history (skips experiments)")
+	mpcBench := fs.String("mpcbench", "", "run the secure-construction MPC benchmark and append the measurement to this JSON history (skips experiments)")
 	baseline := fs.String("baseline", "", "write per-experiment wall times as a JSON baseline to this file")
 	withMetrics := fs.Bool("metrics", true, "append a JSON metrics snapshot to text output")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -124,7 +121,7 @@ func run(args []string, out io.Writer) error {
 	if *mpcBench != "" {
 		return runMPCBench(*mpcBench, *seed, *workers, out)
 	}
-	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers, Wide: *wide}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers}
 	var reg *metrics.Registry
 	if *withMetrics {
 		reg = metrics.NewRegistry()

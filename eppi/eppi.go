@@ -198,8 +198,9 @@ func WithTCP() Option {
 	}
 }
 
-// WithBatchSize caps the identities per MPC circuit in secure mode; large
-// owner sets are processed in sequential batches to bound memory.
+// WithBatchSize splits the owners of a secure-mode construction into
+// independent batches of at most size owners, evaluated concurrently; each
+// batch opens one common count (core.Config.BatchSize).
 func WithBatchSize(size int) Option {
 	return func(o *options) { o.cfg.BatchSize = size }
 }
@@ -209,15 +210,6 @@ func WithBatchSize(size int) Option {
 // rounds — the right trade on latency-bound (WAN) coordinator links.
 func WithPrefixArithmetic() Option {
 	return func(o *options) { o.cfg.Arithmetic = circuit.StylePrefix }
-}
-
-// WithWideMPC evaluates the secure mode's CountBelow/Reveal circuits with
-// the bit-sliced 64-wide GMW evaluator: identities are packed 64 per
-// machine word, so one AND-opening round serves 64 identities at once.
-// The constructed index is bit-identical to the scalar evaluator; only
-// protocol cost changes. Only meaningful with WithSecure.
-func WithWideMPC() Option {
-	return func(o *options) { o.cfg.Wide = true }
 }
 
 // WithOTPreprocessing replaces the secure mode's trusted triple dealer

@@ -77,6 +77,24 @@ func (m *Matrix) Row(row int) []bool {
 	return out
 }
 
+// RowValues writes one row into dst (len(dst) must be Cols) as 0/1 words —
+// a provider's SecSumShare input vector — reading the packed words
+// directly instead of one Get per bit.
+func (m *Matrix) RowValues(row int, dst []uint64) {
+	if row < 0 || row >= m.rows || len(dst) != m.cols {
+		panic(fmt.Sprintf("bitmat: RowValues(%d) into %d values of a %dx%d matrix", row, len(dst), m.rows, m.cols))
+	}
+	for w, word := range m.data[row*m.words : (row+1)*m.words] {
+		out := dst[w*64:]
+		if len(out) > 64 {
+			out = out[:64]
+		}
+		for b := range out {
+			out[b] = word >> uint(b) & 1
+		}
+	}
+}
+
 // SetRow overwrites one row from a boolean slice of length Cols.
 func (m *Matrix) SetRow(row int, vals []bool) error {
 	if len(vals) != m.cols {

@@ -205,3 +205,39 @@ func BenchmarkColCount(b *testing.B) {
 		m.ColCount(i % 64)
 	}
 }
+
+// RowValues must agree with Get on every bit, across word boundaries and
+// a ragged final word.
+func TestRowValuesMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cols := range []int{0, 1, 63, 64, 65, 200} {
+		m := MustNew(4, cols)
+		for r := 0; r < 4; r++ {
+			for c := 0; c < cols; c++ {
+				m.Set(r, c, rng.Intn(2) == 1)
+			}
+		}
+		dst := make([]uint64, cols)
+		for r := 0; r < 4; r++ {
+			for c := range dst {
+				dst[c] = 9 // stale contents must be overwritten
+			}
+			m.RowValues(r, dst)
+			for c, v := range dst {
+				want := uint64(0)
+				if m.Get(r, c) {
+					want = 1
+				}
+				if v != want {
+					t.Fatalf("cols=%d: RowValues(%d)[%d] = %d, want %d", cols, r, c, v, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RowValues accepted a short destination")
+		}
+	}()
+	MustNew(2, 10).RowValues(0, make([]uint64, 9))
+}

@@ -25,28 +25,27 @@ func TestCachedCompileReturnsSamePointer(t *testing.T) {
 }
 
 func TestCachedCompileKeyCoversThresholds(t *testing.T) {
-	base := CountBelowParams{Parties: 2, Identities: 2, ShareBits: 5, Thresholds: []uint64{1, 2}}
-	a, err := CountBelowCached(base)
+	base := SliceParams{Parties: 2, ShareBits: 5, CoinBits: 3, MixThreshold: 2}
+	a, err := RevealSliceCached(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	changed := base
-	changed.Thresholds = []uint64{1, 3}
-	b, err := CountBelowCached(changed)
+	changed.MixThreshold = 3
+	b, err := RevealSliceCached(changed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == b {
-		t.Fatal("different thresholds shared a cache entry")
+		t.Fatal("different mix thresholds shared a cache entry")
 	}
-	// Reveal variant keyed independently of CountBelow.
-	r, err := RevealCached(RevealParams{Parties: 2, Identities: 2, ShareBits: 5,
-		Thresholds: []uint64{1, 2}, CoinBits: 3, MixThreshold: 2})
+	// CountBelowSlice keyed independently of RevealSlice.
+	c, err := CountBelowSliceCached(SliceParams{Parties: 2, ShareBits: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r == a {
-		t.Fatal("Reveal and CountBelow shared a cache entry")
+	if c == a || c == b {
+		t.Fatal("RevealSlice and CountBelowSlice shared a cache entry")
 	}
 }
 

@@ -106,11 +106,11 @@ type Config struct {
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
 	// deriving it from the ε of common identities.
 	XiOverride float64
-	// BatchSize caps the number of identities compiled into a single MPC
-	// circuit in ModeSecure; larger identity sets are processed in
-	// independent batches (run concurrently up to Workers, each over its
-	// own transport session), bounding circuit size and memory. 0 means
-	// one batch for everything.
+	// BatchSize groups the identities of a ModeSecure run into
+	// independent batches (run concurrently up to Workers), each of which
+	// evaluates its 64-identity slabs in turn and opens one common count.
+	// Batch boundaries are public; they set the concurrency and the count
+	// granularity. 0 means one batch for everything.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold shards,
 	// column aggregation, concurrent MPC identity batches, and randomized
@@ -121,12 +121,6 @@ type Config struct {
 	// Triples selects the MPC preprocessing source (dealer by default;
 	// TripleOT runs the real oblivious-transfer protocol).
 	Triples TripleSource
-	// Wide, in ModeSecure, evaluates the CountBelow/Reveal stages with the
-	// bit-sliced 64-wide GMW evaluator: identities are scheduled onto
-	// 64-lane slabs, one protocol execution per slab instead of one per
-	// identity batch circuit. The published matrix is bit-identical to the
-	// scalar path at any worker count; only the protocol cost changes.
-	Wide bool
 	// Arithmetic selects the circuit adder style: ripple (default) or
 	// log-depth parallel-prefix, which trades AND gates for fewer GMW
 	// communication rounds (latency-bound deployments).
@@ -203,9 +197,12 @@ type SecureStats struct {
 	SecSum transport.Stats
 	// SecSumRounds is its round count (always 2).
 	SecSumRounds int
-	// CountBelowCircuit summarises the common-count circuit.
+	// CountBelowCircuit summarises the common-count circuits executed:
+	// one CountBelowSlice per 64-identity slab plus one SliceCount opener
+	// per batch (sizes add; depth is the deepest single circuit).
 	CountBelowCircuit circuit.Stats
-	// RevealCircuit summarises the mixing/reveal circuit.
+	// RevealCircuit summarises the mixing/reveal circuits executed: one
+	// RevealSlice per slab.
 	RevealCircuit circuit.Stats
 	// MPC is the combined traffic of both GMW executions.
 	MPC transport.Stats
@@ -213,8 +210,8 @@ type SecureStats struct {
 	MPCRounds int
 	// MPCWall is the wall time of the CountBelow/Reveal construction
 	// stages (circuit compilation, preprocessing and protocol execution;
-	// SecSumShare and publication excluded) — the phase the wide evaluator
-	// accelerates, benchmarked by eppi-bench -mpcbench.
+	// SecSumShare and publication excluded) — the phase eppi-bench
+	// -mpcbench measures.
 	MPCWall time.Duration
 }
 

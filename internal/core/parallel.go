@@ -32,11 +32,12 @@ const (
 	seedStreamMix uint64 = iota + 1
 	seedStreamPublish
 	seedStreamCoins
-	seedStreamCountBelow
-	seedStreamReveal
-	// Wide-path streams: one per slab-level protocol execution, indexed by
-	// the slab's global identity offset (unique across batches because
-	// slabs never straddle batch boundaries).
+	_ // retired: per-batch CountBelow circuit seeds
+	_ // retired: per-batch Reveal circuit seeds
+	// Slab streams: one per slab-level protocol execution, indexed by the
+	// slab's global identity offset (unique across batches because slabs
+	// never straddle batch boundaries); SliceCount is indexed by the
+	// batch's offset.
 	seedStreamWideCountBelow
 	seedStreamSliceCount
 	seedStreamWideReveal

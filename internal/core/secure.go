@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/field"
-	"repro/internal/gmw"
 	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/secretshare"
@@ -64,12 +62,15 @@ func pickBatchErr(errs []error) error {
 //	        hidden. β follows Equation 6.
 //	Phase 2 (every provider, local): randomized publication.
 //
-// The identity batches of stages B and C are independent computations, so
-// they run concurrently (up to Config.Workers), each over its own logical
-// session of one shared coordinator network (transport.SessionMux) so
-// concurrent batches never interleave messages. Per-batch randomness —
-// protocol seeds and mixing coins — derives from (Seed, stage stream,
-// batch index), keeping the whole run bit-identical at any worker count.
+// Stages B and C evaluate their circuits with the bit-sliced GMW evaluator
+// (secure_wide.go): identities ride 64 to a slab, one protocol execution
+// per slab. The identity batches of stages B and C are independent
+// computations, so they run concurrently (up to Config.Workers), each slab
+// over its own logical session of one shared coordinator network
+// (transport.SessionMux) so concurrent executions never interleave
+// messages. Per-batch and per-slab randomness — protocol seeds and mixing
+// coins — derives from (Seed, stage stream, batch index or slab offset),
+// keeping the whole run bit-identical at any worker count.
 //
 // ξ is taken over identities that *can* be common (public thresholds
 // t_j <= m); the trusted path uses the paper's exact max-over-true-commons,
@@ -86,16 +87,11 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	if newNet == nil {
 		newNet = func(parties int) (transport.Network, error) { return transport.NewInMem(parties) }
 	}
-	shareBits := circuit.BitsNeeded(uint64(m + 1))
-	groupBits := shareBits
-	if cfg.Wide {
-		// The wide slab comparator folds the public threshold into party
-		// 0's share and reads the sign bit of freq − t, which needs one bit
-		// of sign slack: shares live in Z_{2^W}, W = bits(m+1) + 1. The
-		// wider group changes no frequency (Σ shares mod 2^W = freq because
-		// freq ≤ m < 2^(W−1)), so the published matrix is unaffected.
-		groupBits++
-	}
+	// The slab comparator folds the public threshold into party 0's share
+	// and reads the sign bit of freq − t, which needs one bit of sign
+	// slack: shares live in Z_{2^W}, W = bits(m+1) + 1. Σ shares mod 2^W
+	// is still the frequency, because freq ≤ m < 2^(W−1).
+	groupBits := circuit.BitsNeeded(uint64(m+1)) + 1
 	group, err := field.NewAdditive(1 << uint(groupBits))
 	if err != nil {
 		return nil, err
@@ -110,13 +106,8 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	inputs := make([][]uint64, m)
 	parallel.Blocks(workers, m, rowShard, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			row := make([]uint64, n)
-			for j := 0; j < n; j++ {
-				if truth.Get(i, j) {
-					row[j] = 1
-				}
-			}
-			inputs[i] = row
+			inputs[i] = make([]uint64, n)
+			truth.RowValues(i, inputs[i])
 		}
 		return nil
 	})
@@ -152,71 +143,24 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	mux := transport.NewSessionMux(coordNet)
 	defer mux.Close()
 
-	// runMPC executes one coordinator-side secure computation over its own
-	// session, sourcing preprocessing per the configuration (sharded
-	// dealer, or pairwise OT run over the same session before the online
-	// phase). Each invocation is one span (stage names the circuit, lo/hi
-	// the identity batch); the session carries it so the GMW/OT phase
-	// spans nest underneath. On failure the whole mux is closed so
-	// sibling batches abort promptly instead of waiting on a dead peer.
-	runMPC := func(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]bool, seed int64) (*gmw.Result, error) {
-		sess, err := mux.Session(sessID)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator session: %w", err)
-		}
-		_, mpcSpan := trace.StartChild(ctx, stage,
-			trace.Int("batch_lo", lo), trace.Int("batch_hi", hi))
-		transport.AttachSpan(sess, mpcSpan)
-		defer mpcSpan.End()
-		var res *gmw.Result
-		if cfg.Triples == TripleOT {
-			triples, terr := gmw.GenTriplesOT(sess, circ.Stats().AndGates, seed+7919)
-			if terr != nil {
-				sess.Close()
-				mux.Close()
-				return nil, fmt.Errorf("OT preprocessing: %w", terr)
-			}
-			res, err = gmw.RunWithTriples(sess, circ, inputs, triples, seed)
-		} else {
-			var triples []gmw.PartyTriples
-			triples, err = gmw.GenTriplesSharded(seed, c, circ.Stats().AndGates, workers)
-			if err == nil {
-				res, err = gmw.RunWithTriples(sess, circ, inputs, triples, seed)
-			}
-		}
-		sess.Close()
-		if err != nil {
-			mux.Close()
-			return nil, err
-		}
-		return res, nil
-	}
-
-	// In wide mode the per-batch stages below are replaced by slab-level
-	// bit-sliced executions; the batching geometry, coin streams and every
-	// opened value stay identical to the scalar path.
-	var ws *wideState
-	if cfg.Wide {
-		ws = &wideState{
-			ctx:        ctx,
-			cfg:        cfg,
-			mux:        mux,
-			c:          c,
-			w:          groupBits,
-			m:          m,
-			workers:    workers,
-			shares:     sumRes.CoordinatorShares,
-			thresholds: thresholds,
-			scalarMPC:  runMPC,
-		}
+	ws := &wideState{
+		ctx:        ctx,
+		cfg:        cfg,
+		mux:        mux,
+		c:          c,
+		w:          groupBits,
+		m:          m,
+		workers:    workers,
+		shares:     sumRes.CoordinatorShares,
+		thresholds: thresholds,
 	}
 
 	// --- Stage B: CountBelow among the c coordinators ----------------------
-	// Identities are processed in batches (Config.BatchSize) so circuit
-	// size and memory stay bounded for large n; the batches are
-	// independent and run concurrently up to Workers. The per-batch common
-	// counts are summed into the global count; batch boundaries are public
-	// parameters, so the extra release is the count granularity only.
+	// Identities are processed in batches (Config.BatchSize); the batches
+	// are independent and run concurrently up to Workers. The per-batch
+	// common counts are summed into the global count; batch boundaries are
+	// public parameters, so the extra release is the count granularity
+	// only.
 	batch := cfg.BatchSize
 	if batch <= 0 || batch > n {
 		batch = n
@@ -231,55 +175,22 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		if hi > n {
 			hi = n
 		}
-		if cfg.Wide {
-			out, err := ws.countBelowBatch(lo, hi)
-			if err != nil {
-				cbErrs[b] = fmt.Errorf("wide CountBelow [%d:%d]: %w", lo, hi, err)
-				return cbErrs[b]
-			}
-			cbOuts[b] = out
-			return nil
-		}
-		cbCirc, err := circuit.CountBelowCached(circuit.CountBelowParams{
-			Parties:    c,
-			Identities: hi - lo,
-			ShareBits:  shareBits,
-			Thresholds: thresholds[lo:hi],
-			Arithmetic: cfg.Arithmetic,
-		})
+		out, err := ws.countBelowBatch(lo, hi)
 		if err != nil {
-			cbErrs[b] = fmt.Errorf("compile CountBelow [%d:%d]: %w", lo, hi, err)
+			cbErrs[b] = fmt.Errorf("CountBelow [%d:%d]: %w", lo, hi, err)
 			return cbErrs[b]
 		}
-		cbInputs := make([][]bool, c)
-		for k := 0; k < c; k++ {
-			bits := make([]bool, 0, (hi-lo)*shareBits)
-			for j := lo; j < hi; j++ {
-				bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
-			}
-			cbInputs[k] = bits
-		}
-		cbRes, err := runMPC("mpc.countbelow", uint32(1+2*b), lo, hi, cbCirc, cbInputs,
-			mathx.DeriveSeed(cfg.Seed, seedStreamCountBelow, uint64(b)))
-		if err != nil {
-			cbErrs[b] = fmt.Errorf("CountBelow MPC [%d:%d]: %w", lo, hi, err)
-			return cbErrs[b]
-		}
-		cbOuts[b] = wideOut{
-			circ:   cbCirc.Stats(),
-			count:  int(circuit.UnpackBits(cbRes.Outputs)),
-			stats:  cbRes.Stats,
-			rounds: cbRes.Rounds,
-		}
+		cbOuts[b] = out
 		return nil
 	})
 	if err := pickBatchErr(cbErrs); err != nil {
 		return nil, err
 	}
-	commonCount := 0
+	commonCount, waste := 0, 0
 	for _, out := range cbOuts { // reduce in batch order: deterministic accounting
 		stats.CountBelowCircuit = addCircuitStats(stats.CountBelowCircuit, out.circ)
 		commonCount += out.count
+		waste += out.waste
 		stats.MPC.Messages += out.stats.Messages
 		stats.MPC.Bytes += out.stats.Bytes
 		stats.MPCRounds += out.rounds
@@ -315,7 +226,6 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	// keeping the run reproducible.
 	hidden := make([]bool, n)
 	betas := make([]float64, n)
-	per := 1 + shareBits
 	rvOuts := make([]wideOut, nb)
 	rvErrs := make([]error, nb)
 	parallel.For(workers, nb, func(b int) error {
@@ -324,70 +234,12 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		if hi > n {
 			hi = n
 		}
-		if cfg.Wide {
-			out, err := ws.revealBatch(b, lo, hi, coinBits, coinMod, mixThreshold, eps, hidden, betas)
-			if err != nil {
-				rvErrs[b] = fmt.Errorf("wide Reveal [%d:%d]: %w", lo, hi, err)
-				return rvErrs[b]
-			}
-			rvOuts[b] = out
-			return nil
-		}
-		rvCirc, err := circuit.RevealCached(circuit.RevealParams{
-			Parties:      c,
-			Identities:   hi - lo,
-			ShareBits:    shareBits,
-			Thresholds:   thresholds[lo:hi],
-			CoinBits:     coinBits,
-			MixThreshold: mixThreshold,
-			Arithmetic:   cfg.Arithmetic,
-		})
+		out, err := ws.revealBatch(b, lo, hi, coinBits, coinMod, mixThreshold, eps, hidden, betas)
 		if err != nil {
-			rvErrs[b] = fmt.Errorf("compile Reveal [%d:%d]: %w", lo, hi, err)
+			rvErrs[b] = fmt.Errorf("Reveal [%d:%d]: %w", lo, hi, err)
 			return rvErrs[b]
 		}
-		coinRng := rand.New(rand.NewSource(mathx.DeriveSeed(cfg.Seed, seedStreamCoins, uint64(b))))
-		rvInputs := make([][]bool, c)
-		for k := 0; k < c; k++ {
-			bits := make([]bool, 0, (hi-lo)*(shareBits+coinBits))
-			for j := lo; j < hi; j++ {
-				bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
-				bits = append(bits, circuit.PackBits(coinRng.Uint64()%coinMod, coinBits)...)
-			}
-			rvInputs[k] = bits
-		}
-		rvRes, err := runMPC("mpc.reveal", uint32(2+2*b), lo, hi, rvCirc, rvInputs,
-			mathx.DeriveSeed(cfg.Seed, seedStreamReveal, uint64(b)))
-		if err != nil {
-			rvErrs[b] = fmt.Errorf("Reveal MPC [%d:%d]: %w", lo, hi, err)
-			return rvErrs[b]
-		}
-
-		// Decode per-identity (hidden, maskedFreq) and derive β (Eq. 6).
-		// Batches write disjoint [lo:hi) ranges of hidden/betas.
-		if len(rvRes.Outputs) != per*(hi-lo) {
-			rvErrs[b] = fmt.Errorf("core: reveal output length %d, want %d", len(rvRes.Outputs), per*(hi-lo))
-			return rvErrs[b]
-		}
-		for j := lo; j < hi; j++ {
-			off := (j - lo) * per
-			hidden[j] = rvRes.Outputs[off]
-			if hidden[j] {
-				betas[j] = 1
-				continue
-			}
-			freq := circuit.UnpackBits(rvRes.Outputs[off+1 : off+per])
-			sigma := float64(freq) / float64(m)
-			bv, err := mathx.Beta(cfg.Policy, mathx.BetaParams{
-				Sigma: sigma, Epsilon: eps[j], M: m, Delta: cfg.Delta, Gamma: cfg.Gamma,
-			})
-			if err != nil {
-				rvErrs[b] = fmt.Errorf("β for identity %d: %w", j, err)
-				return rvErrs[b]
-			}
-			betas[j] = bv
-		}
-		rvOuts[b] = wideOut{circ: rvCirc.Stats(), stats: rvRes.Stats, rounds: rvRes.Rounds}
+		rvOuts[b] = out
 		return nil
 	})
 	if err := pickBatchErr(rvErrs); err != nil {
@@ -395,23 +247,15 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	}
 	for _, out := range rvOuts {
 		stats.RevealCircuit = addCircuitStats(stats.RevealCircuit, out.circ)
+		waste += out.waste
 		stats.MPC.Messages += out.stats.Messages
 		stats.MPC.Bytes += out.stats.Bytes
 		stats.MPCRounds += out.rounds
 	}
 	stats.MPCWall = time.Since(mpcStart)
-	if cfg.Wide {
-		waste := 0
-		for _, out := range cbOuts {
-			waste += out.waste
-		}
-		for _, out := range rvOuts {
-			waste += out.waste
-		}
-		if g := cfg.Metrics.Gauge("eppi_gmw_slab_waste_slots",
-			"Padded lanes across the wide slab executions of the most recent secure construction (CountBelow and Reveal passes counted separately; 0 when every slab is full)."); g != nil {
-			g.Set(float64(waste))
-		}
+	if g := cfg.Metrics.Gauge("eppi_gmw_slab_waste_slots",
+		"Padded lanes across the wide slab executions of the most recent secure construction (CountBelow and Reveal passes counted separately; 0 when every slab is full)."); g != nil {
+		g.Set(float64(waste))
 	}
 	if err := mux.Close(); err != nil {
 		return nil, fmt.Errorf("coordinator network close: %w", err)

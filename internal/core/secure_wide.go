@@ -13,10 +13,11 @@ import (
 	"repro/internal/transport"
 )
 
-// The wide secure path schedules identities onto 64-lane slabs and
-// evaluates each slab with the bit-sliced GMW evaluator: one protocol
-// execution (one AND-opening round per circuit layer) answers 64
-// identities at once. Three invariants tie it to the scalar path:
+// Stages B and C schedule identities onto 64-lane slabs and evaluate
+// each slab with the bit-sliced GMW evaluator: one protocol execution (one
+// AND-opening round per circuit layer) answers 64 identities at once.
+// Three invariants keep the published matrix exactly what the paper's
+// per-identity CountBelow/Reveal circuits define:
 //
 //   - Thresholds enter as data, not circuit structure. Shares live in
 //     Z_{2^W} with W = bits(m+1)+1; party 0 folds (2^W − t_j) into its
@@ -27,17 +28,17 @@ import (
 //     makes that a single compilation per construction.
 //
 //   - Nothing extra is opened. CountBelowSlice runs shares-kept (the
-//     per-identity ≥-bits are exactly the secret the scalar circuit keeps
-//     internal); a scalar SliceCount execution XORs the kept lane shares
-//     and opens only the per-slab popcount, matching the scalar release
-//     granularity (batch counts are public parameters either way).
+//     per-identity ≥-bits stay secret); a scalar SliceCount execution per
+//     batch XORs the kept lane shares and opens only the batch's popcount
+//     (batch counts are public parameters).
 //
-//   - The published matrix is bit-identical to the scalar path. The count
-//     is an exact sum either way, so λ and the mixing threshold agree; the
-//     mixing coins replicate the scalar per-batch stream in the scalar
-//     draw order; ragged final slabs are padded with zero shares and a
-//     folded t = 1 (offset 2^W − 1), making padded lanes never-common and
-//     their outputs discardable.
+//   - The outcome is pinned. The count is an exact sum, so λ and the
+//     mixing threshold follow from it alone; the mixing coins come from
+//     the per-batch stream in party-major, identity-minor draw order;
+//     ragged final slabs are padded with zero shares and a folded t = 1,
+//     making padded lanes never-common and their outputs discardable.
+//     TestWideSecureConstructEndToEnd holds the result to digests recorded from
+//     the per-batch scalar circuits.
 //
 // Per-slab protocol seeds derive from (Seed, wide stream, slab identity
 // offset) — slabs never straddle batch boundaries, so the offset is unique
@@ -48,33 +49,30 @@ type wideState struct {
 	cfg        Config
 	mux        *transport.SessionMux
 	c          int
-	w          int // widened share width W = bits(m+1) + 1
+	w          int // share width W = bits(m+1) + 1
 	m          int
 	workers    int
 	shares     [][]uint64 // coordinator share vectors over Z_{2^W}
 	thresholds []uint64
-	scalarMPC  func(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]bool, seed int64) (*gmw.Result, error)
 }
 
-// wideOut is the per-batch accounting record of stages B and C (both
-// paths; the scalar path leaves count/waste unused where not applicable).
+// wideOut is the per-batch accounting record of stages B and C (count is
+// stage B's opened popcount; stage C leaves it zero).
 type wideOut struct {
 	circ   circuit.Stats
 	count  int
 	stats  transport.Stats
 	rounds int
-	waste  int // padded lanes in ragged final slabs (wide path only)
+	waste  int // padded lanes in ragged final slabs
 }
 
-// Session-id scheme of the wide path, keyed by identity offsets (slab
-// offset for the wide runs, batch offset for the per-batch popcount
-// opener). The three families occupy disjoint residue classes mod 3, so
-// no two sessions ever share an id: CountBelow 1+3L ≡ 1, SliceCount
-// 2+3B ≡ 2, Reveal 3+3L ≡ 0. The scalar 1+2b/2+2b ids are never minted
-// when Wide is set.
-func wideSessCountBelow(slabLo int) uint32 { return uint32(1 + 3*slabLo) }
+// Session-id scheme, keyed by identity offsets (slab offset for the wide
+// runs, batch offset for the per-batch popcount opener). The three
+// families occupy disjoint residue classes mod 3, so no two sessions ever
+// share an id: CountBelow 1+3L ≡ 1, SliceCount 2+3B ≡ 2, Reveal 3+3L ≡ 0.
+func wideSessCountBelow(slabLo int) uint32  { return uint32(1 + 3*slabLo) }
 func wideSessSliceCount(batchLo int) uint32 { return uint32(2 + 3*batchLo) }
-func wideSessReveal(slabLo int) uint32     { return uint32(3 + 3*slabLo) }
+func wideSessReveal(slabLo int) uint32      { return uint32(3 + 3*slabLo) }
 
 // packPlanes transposes 64 per-lane values into bit-plane words (word i =
 // bit i of every lane) and returns the first planes words. Values must fit
@@ -86,57 +84,88 @@ func packPlanes(rows *[64]uint64, planes int) []uint64 {
 	return out
 }
 
-// runWide mirrors the scalar runMPC closure for bit-sliced executions:
-// one session, one span, preprocessing per the configuration (wide-packed
-// sharded dealer, or per-lane OT over the same session), mux teardown on
-// failure so sibling batches abort promptly.
-func (ws *wideState) runWide(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]uint64, seed int64, keepShared bool) (*gmw.WideResult, error) {
+// inSession runs fn over its own coordinator session inside one span
+// named stage; the session carries the span, so the GMW/OT phase spans
+// nest underneath. On failure the whole mux is closed so sibling batches
+// abort promptly instead of waiting on a dead peer.
+func (ws *wideState) inSession(stage string, sessID uint32, attrs []trace.Attr, fn func(sess transport.Network) error) error {
 	sess, err := ws.mux.Session(sessID)
 	if err != nil {
-		return nil, fmt.Errorf("coordinator session: %w", err)
+		return fmt.Errorf("coordinator session: %w", err)
 	}
-	_, sp := trace.StartChild(ws.ctx, stage,
-		trace.Int("slab_lo", lo), trace.Int("slab_hi", hi))
+	_, sp := trace.StartChild(ws.ctx, stage, attrs...)
 	transport.AttachSpan(sess, sp)
 	defer sp.End()
-	run := func(triples []gmw.WideTriples) (*gmw.WideResult, error) {
-		if keepShared {
-			return gmw.RunWideShared(sess, circ, inputs, triples, seed)
-		}
-		return gmw.RunWideWithTriples(sess, circ, inputs, triples, seed)
-	}
-	var res *gmw.WideResult
-	andGates := circ.Stats().AndGates
-	if ws.cfg.Triples == TripleOT {
-		triples, terr := gmw.GenTriplesWideOT(sess, andGates, seed+7919)
-		if terr != nil {
-			sess.Close()
-			ws.mux.Close()
-			return nil, fmt.Errorf("OT preprocessing: %w", terr)
-		}
-		res, err = run(triples)
-	} else {
-		var triples []gmw.WideTriples
-		triples, err = gmw.GenTriplesWideSharded(seed, ws.c, andGates, ws.workers)
-		if err == nil {
-			res, err = run(triples)
-		}
-	}
+	err = fn(sess)
 	sess.Close()
 	if err != nil {
 		ws.mux.Close()
-		return nil, err
+		return err
 	}
-	return res, nil
+	return nil
 }
 
-// countBelowBatch is the wide stage B for one identity batch: per slab, a
+// runScalar executes the one scalar coordinator computation — the
+// per-batch SliceCount popcount opener over identities [lo, hi) — with
+// preprocessing per the configuration: sharded dealer, or pairwise OT run
+// over the same session before the online phase.
+func (ws *wideState) runScalar(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]bool, seed int64) (*gmw.Result, error) {
+	var res *gmw.Result
+	attrs := []trace.Attr{trace.Int("batch_lo", lo), trace.Int("batch_hi", hi)}
+	err := ws.inSession(stage, sessID, attrs, func(sess transport.Network) error {
+		andGates := circ.Stats().AndGates
+		var triples []gmw.PartyTriples
+		var err error
+		if ws.cfg.Triples == TripleOT {
+			if triples, err = gmw.GenTriplesOT(sess, andGates, seed+7919); err != nil {
+				return fmt.Errorf("OT preprocessing: %w", err)
+			}
+		} else if triples, err = gmw.GenTriplesSharded(seed, ws.c, andGates, ws.workers); err != nil {
+			return err
+		}
+		res, err = gmw.RunWithTriples(sess, circ, inputs, triples, seed)
+		return err
+	})
+	return res, err
+}
+
+// runWide executes one bit-sliced slab over identities [lo, hi), with
+// wide-packed preprocessing per the configuration: sharded dealer, or
+// per-lane OT over the same session. keepShared leaves the outputs
+// XOR-shared (RunWideShared) instead of opening them.
+func (ws *wideState) runWide(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]uint64, seed int64, keepShared bool) (*gmw.WideResult, error) {
+	var res *gmw.WideResult
+	attrs := []trace.Attr{trace.Int("slab_lo", lo), trace.Int("slab_hi", hi)}
+	err := ws.inSession(stage, sessID, attrs, func(sess transport.Network) error {
+		andGates := circ.Stats().AndGates
+		var triples []gmw.WideTriples
+		var err error
+		if ws.cfg.Triples == TripleOT {
+			// Only lanes lo..hi-1 are live; padded lanes carry public
+			// values and take the free all-zero triple.
+			if triples, err = gmw.GenTriplesWideOT(sess, andGates, hi-lo, seed+7919); err != nil {
+				return fmt.Errorf("OT preprocessing: %w", err)
+			}
+		} else if triples, err = gmw.GenTriplesWideSharded(seed, ws.c, andGates, ws.workers); err != nil {
+			return err
+		}
+		if keepShared {
+			res, err = gmw.RunWideShared(sess, circ, inputs, triples, seed)
+		} else {
+			res, err = gmw.RunWideWithTriples(sess, circ, inputs, triples, seed)
+		}
+		return err
+	})
+	return res, err
+}
+
+// countBelowBatch is stage B for one identity batch: per slab, a
 // shares-kept CountBelowSlice execution produces the 64 ≥-threshold bit
 // shares; then ONE scalar SliceCount execution per batch opens the
-// popcount of every kept lane share at once. Opening per batch — not per
-// slab — matches the scalar path's release granularity exactly (batch
-// counts are the only partial sums either path ever discloses) and costs
-// one opener session instead of one per slab.
+// popcount of every live lane's kept share at once. Opening per batch — not per
+// slab — keeps the release granularity at the batch counts, the only
+// partial sums ever disclosed, and costs one opener session instead of
+// one per slab.
 func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 	var out wideOut
 	cbCirc, err := circuit.CountBelowSliceCached(circuit.SliceParams{
@@ -147,9 +176,8 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 	}
 	mod := uint64(1) << uint(ws.w)
 	laneShares := make([][]bool, ws.c)
-	slabs := (hi - lo + gmw.WideLanes - 1) / gmw.WideLanes
 	for k := range laneShares {
-		laneShares[k] = make([]bool, 0, slabs*gmw.WideLanes)
+		laneShares[k] = make([]bool, 0, hi-lo)
 	}
 	for slabLo := lo; slabLo < hi; slabLo += gmw.WideLanes {
 		slabHi := slabLo + gmw.WideLanes
@@ -180,14 +208,14 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 			}
 			inputs[k] = packPlanes(&rows, ws.w)
 		}
-		wres, err := ws.runWide("mpc.countbelow.wide", wideSessCountBelow(slabLo), slabLo, slabHi, cbCirc, inputs,
+		wres, err := ws.runWide("mpc.countbelow", wideSessCountBelow(slabLo), slabLo, slabHi, cbCirc, inputs,
 			mathx.DeriveSeed(ws.cfg.Seed, seedStreamWideCountBelow, uint64(slabLo)), true)
 		if err != nil {
 			return out, fmt.Errorf("CountBelowSlice MPC [%d:%d]: %w", slabLo, slabHi, err)
 		}
 		for k := range laneShares {
 			word := wres.OutputShares[k][0]
-			for s := 0; s < gmw.WideLanes; s++ {
+			for s := 0; s < active; s++ {
 				laneShares[k] = append(laneShares[k], word>>uint(s)&1 == 1)
 			}
 		}
@@ -196,15 +224,15 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 		out.stats.Bytes += wres.Stats.Bytes
 		out.rounds += wres.Rounds
 	}
-	// One popcount opener for the whole batch (padded lanes carry zero
-	// shares, so they cannot perturb the count).
+	// One popcount opener for the whole batch, over its live lanes only
+	// (a padded lane's ≥-bit is a public 0).
 	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{
 		Parties: ws.c, Slots: len(laneShares[0]), Arithmetic: ws.cfg.Arithmetic,
 	})
 	if err != nil {
 		return out, fmt.Errorf("compile SliceCount: %w", err)
 	}
-	scRes, err := ws.scalarMPC("mpc.slicecount", wideSessSliceCount(lo), lo, hi, scCirc, laneShares,
+	scRes, err := ws.runScalar("mpc.slicecount", wideSessSliceCount(lo), lo, hi, scCirc, laneShares,
 		mathx.DeriveSeed(ws.cfg.Seed, seedStreamSliceCount, uint64(lo)))
 	if err != nil {
 		return out, fmt.Errorf("SliceCount MPC [%d:%d]: %w", lo, hi, err)
@@ -217,11 +245,10 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 	return out, nil
 }
 
-// revealBatch is the wide stage C for one identity batch. The mixing
-// coins replicate the scalar stream exactly — same per-batch seed, same
-// party-major identity-minor draw order — so the hidden/mixed set, the β
-// vector and therefore the published matrix are bit-identical to the
-// scalar path. Padded lanes carry zero shares, zero coins and a folded
+// revealBatch is stage C for one identity batch. The mixing coins come
+// from the per-batch stream (Seed, seedStreamCoins, b), drawn party-major,
+// identity-minor, so a batch's coins do not depend on which batches ran
+// before it. Padded lanes carry zero shares, zero coins and a folded
 // t = 1; their outputs are discarded undecoded.
 func (ws *wideState) revealBatch(b, lo, hi, coinBits int, coinMod, mixThreshold uint64, eps []float64, hidden []bool, betas []float64) (wideOut, error) {
 	var out wideOut
@@ -271,7 +298,7 @@ func (ws *wideState) revealBatch(b, lo, hi, coinBits int, coinMod, mixThreshold 
 			}
 			inputs[k] = in
 		}
-		wres, err := ws.runWide("mpc.reveal.wide", wideSessReveal(slabLo), slabLo, slabHi, rvCirc, inputs,
+		wres, err := ws.runWide("mpc.reveal", wideSessReveal(slabLo), slabLo, slabHi, rvCirc, inputs,
 			mathx.DeriveSeed(ws.cfg.Seed, seedStreamWideReveal, uint64(slabLo)), false)
 		if err != nil {
 			return out, fmt.Errorf("RevealSlice MPC [%d:%d]: %w", slabLo, slabHi, err)

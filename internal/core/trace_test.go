@@ -25,10 +25,17 @@ func traceFixture(t *testing.T, mutate func(*Config)) *trace.Trace {
 		eps[j] = 0.4
 	}
 	cfg := secureCfg(11)
-	cfg.Tracer = trace.New(4)
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	return traceConstruct(t, truth, eps, cfg)
+}
+
+// traceConstruct runs one construction with tracing on and returns the
+// sealed trace.
+func traceConstruct(t *testing.T, truth *bitmat.Matrix, eps []float64, cfg Config) *trace.Trace {
+	t.Helper()
+	cfg.Tracer = trace.New(4)
 	if _, err := Construct(truth, eps, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +118,16 @@ func TestSecureTraceWithOTPreprocessing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("OT preprocessing is expensive")
 	}
-	tr := traceFixture(t, func(cfg *Config) {
-		cfg.Triples = TripleOT
-		cfg.BatchSize = 3
-	})
-	tree := spanTree(tr)
+	// Every OT-backed run deals one OT triple per live lane per AND gate,
+	// so this uses the smallest OT fixture (that of
+	// TestWideSecureTransportsAndTriples/ot): 2 coordinators, 2 identities, 3 coin
+	// bits.
+	cfg := secureCfg(37)
+	cfg.Policy = mathx.PolicyBasic
+	cfg.C = 2
+	cfg.CoinBits = 3
+	cfg.Triples = TripleOT
+	tree := spanTree(traceConstruct(t, matrixWithFreqs(4, []int{4, 1}), []float64{0.5, 0.5}, cfg))
 	if !strings.Contains(tree, "gmw.ot_preprocess") {
 		t.Fatalf("trace missing gmw.ot_preprocess span:\n%s", tree)
 	}

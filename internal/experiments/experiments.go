@@ -38,10 +38,6 @@ type Options struct {
 	// core.Construct runs (0 = runtime.NumCPU()). Results are identical
 	// at any worker count; only wall time changes.
 	Workers int
-	// Wide runs the secure-construction experiments (Fig 6a/6c) with the
-	// bit-sliced 64-wide GMW evaluator. Results are identical to the
-	// scalar evaluator; only protocol cost changes.
-	Wide bool
 	// Metrics, when non-nil, collects instrumentation across experiments:
 	// index query fan-out (SearchCost), transport traffic and MPC phase
 	// timers (Fig 6). eppi-bench embeds a snapshot of it in its output.

@@ -72,7 +72,6 @@ func securePipelineTime(opts Options, m, identities int, seed int64) (time.Durat
 		CoinBits:   fig6CoinBits,
 		Seed:       seed,
 		Workers:    opts.Workers,
-		Wide:       opts.Wide,
 		Metrics:    opts.Metrics,
 		NewNetwork: netFactory(opts),
 	}

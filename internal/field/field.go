@@ -24,6 +24,10 @@ var ErrNotPrime = errors.New("field: modulus is not prime")
 // Field describes arithmetic modulo a fixed prime q.
 type Field struct {
 	q uint64
+	// mask is q−1 when the field was built by NewAdditive with a power of
+	// two q, and 0 otherwise. A nonzero mask turns every reduction into a
+	// bitwise AND instead of a 64-bit division.
+	mask uint64
 }
 
 // New returns a Field with modulus q. It returns ErrNotPrime if q is not a
@@ -42,12 +46,17 @@ func New(q uint64) (Field, error) {
 // over any finite abelian group, so the SecSumShare/GMW pipeline uses
 // q = 2^k (modular reduction is free in boolean circuits). Multiplicative
 // operations (Inv) are not meaningful for composite q and must not be used
-// on fields constructed this way.
+// on fields constructed this way. A power-of-two q takes the division-free
+// path; values and the randomness consumed are the same either way.
 func NewAdditive(q uint64) (Field, error) {
 	if q < 2 {
 		return Field{}, fmt.Errorf("field: additive modulus %d must be >= 2", q)
 	}
-	return Field{q: q}, nil
+	f := Field{q: q}
+	if q&(q-1) == 0 {
+		f.mask = q - 1
+	}
+	return f, nil
 }
 
 // MustNew is like New but panics on an invalid modulus. It is intended for
@@ -72,10 +81,18 @@ func (f Field) Modulus() uint64 { return f.q }
 func (f Field) Valid(x uint64) bool { return x < f.q }
 
 // Reduce maps an arbitrary uint64 into [0, q).
-func (f Field) Reduce(x uint64) uint64 { return x % f.q }
+func (f Field) Reduce(x uint64) uint64 {
+	if f.mask != 0 {
+		return x & f.mask
+	}
+	return x % f.q
+}
 
 // Add returns (a + b) mod q. Inputs must be canonical.
 func (f Field) Add(a, b uint64) uint64 {
+	if f.mask != 0 {
+		return (a + b) & f.mask
+	}
 	// a, b < q <= 2^63 so a+b cannot overflow uint64 for q <= 2^63.
 	s := a + b
 	if s >= f.q || s < a {
@@ -86,6 +103,9 @@ func (f Field) Add(a, b uint64) uint64 {
 
 // Sub returns (a - b) mod q. Inputs must be canonical.
 func (f Field) Sub(a, b uint64) uint64 {
+	if f.mask != 0 {
+		return (a - b) & f.mask
+	}
 	if a >= b {
 		return a - b
 	}
@@ -130,6 +150,17 @@ func (f Field) Inv(a uint64) (uint64, error) {
 
 // Rand returns a uniformly random canonical element drawn from rng.
 func (f Field) Rand(rng *rand.Rand) uint64 {
+	if f.mask != 0 {
+		// The general bound below specialised to q | 2^64: it is 2^64 − q.
+		// Uniformity alone would accept every draw, but keeping the bound
+		// keeps the draws consumed — and so every share — unchanged.
+		for {
+			v := rng.Uint64()
+			if v < -f.q {
+				return v & f.mask
+			}
+		}
+	}
 	// Uint64N-style rejection sampling for uniformity.
 	max := ^uint64(0) - (^uint64(0) % f.q)
 	for {

@@ -227,3 +227,108 @@ func BenchmarkMul(b *testing.B) {
 	}
 	_ = x
 }
+
+// refRand is the general rejection sampler written with %, the reference
+// the power-of-two fast path must reproduce draw for draw.
+func refRand(q uint64, rng *rand.Rand) uint64 {
+	max := ^uint64(0) - (^uint64(0) % q)
+	for {
+		v := rng.Uint64()
+		if v < max {
+			return v % q
+		}
+	}
+}
+
+// On every power-of-two additive group the masked fast path must equal the
+// %-based formulas, and Rand must consume the same draws.
+func TestAdditivePowerOfTwoMatchesModFormulas(t *testing.T) {
+	for k := 1; k <= 62; k++ {
+		q := uint64(1) << uint(k)
+		f, err := NewAdditive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.mask != q-1 {
+			t.Fatalf("k=%d: mask %#x, want %#x", k, f.mask, q-1)
+		}
+		in := rand.New(rand.NewSource(int64(k)))
+		for i := 0; i < 2000; i++ {
+			x := in.Uint64()
+			if got, want := f.Reduce(x), x%q; got != want {
+				t.Fatalf("k=%d: Reduce(%d) = %d, want %d", k, x, got, want)
+			}
+			a, b := in.Uint64()%q, in.Uint64()%q
+			if got, want := f.Add(a, b), (a+b)%q; got != want {
+				t.Fatalf("k=%d: Add(%d, %d) = %d, want %d", k, a, b, got, want)
+			}
+			if got, want := f.Sub(a, b), (a+q-b)%q; got != want {
+				t.Fatalf("k=%d: Sub(%d, %d) = %d, want %d", k, a, b, got, want)
+			}
+		}
+		fast := rand.New(rand.NewSource(int64(100 + k)))
+		ref := rand.New(rand.NewSource(int64(100 + k)))
+		for i := 0; i < 2000; i++ {
+			if got, want := f.Rand(fast), refRand(q, ref); got != want {
+				t.Fatalf("k=%d draw %d: Rand = %d, want %d", k, i, got, want)
+			}
+		}
+		if fast.Uint64() != ref.Uint64() {
+			t.Fatalf("k=%d: Rand left the stream in a different state", k)
+		}
+	}
+}
+
+// scripted is a rand.Source64 that replays fixed values.
+type scripted struct{ vals []uint64 }
+
+func (s *scripted) Uint64() uint64 {
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v
+}
+func (s *scripted) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *scripted) Seed(int64)   {}
+
+// Rand on Z_q, q = 2^k, rejects exactly the draws v ≥ 2^64 − q: the bound
+// itself and the top value are rejected, the value just below is kept.
+func TestAdditiveRandRejectionBound(t *testing.T) {
+	for _, k := range []int{1, 5, 33, 62} {
+		q := uint64(1) << uint(k)
+		f, err := NewAdditive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := -q // 2^64 − q
+		src := &scripted{vals: []uint64{bound, ^uint64(0), bound - 1, 7}}
+		if got, want := f.Rand(rand.New(src)), (bound-1)&(q-1); got != want {
+			t.Fatalf("k=%d: Rand = %d, want %d", k, got, want)
+		}
+		if len(src.vals) != 1 {
+			t.Fatalf("k=%d: Rand consumed %d draws, want 3", k, 4-len(src.vals))
+		}
+	}
+}
+
+// Prime fields keep the %-based path, q = 2 included; so do composite
+// non-power-of-two additive groups.
+func TestPrimeAndOddGroupsKeepModPath(t *testing.T) {
+	for _, q := range []uint64{2, 5, 8191, DefaultModulus} {
+		if f := MustNew(q); f.mask != 0 {
+			t.Errorf("prime q=%d took the mask path", q)
+		}
+	}
+	if f := Default(); f.mask != 0 {
+		t.Error("default field took the mask path")
+	}
+	f, err := NewAdditive(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.mask != 0 {
+		t.Error("q=12 took the mask path")
+	}
+	if got := f.Reduce(29); got != 5 {
+		t.Errorf("Z_12 Reduce(29) = %d, want 5", got)
+	}
+}

@@ -109,16 +109,24 @@ func GenTriplesWideSharded(seed int64, parties, count, workers int) ([]WideTripl
 }
 
 // GenTriplesWideOT runs the pairwise-OT preprocessing for count
-// word-triples by generating count·64 scalar triples over net and packing
-// lane k of ordinal t from scalar ordinal t·64+k. OT preprocessing does
-// not amortize across lanes — each lane's cross terms still need their own
-// OTs — the wide win is the online phase; this keeps the cost model
-// honest while letting OT-configured deployments use the wide evaluator.
-func GenTriplesWideOT(net transport.Network, count int, seed int64) ([]WideTriples, error) {
+// word-triples whose first lanes lanes are live: it generates count·lanes
+// scalar triples over net and packs lane k < lanes of ordinal t from
+// scalar ordinal t·lanes+k. The remaining lanes get the all-zero triple
+// (a = b = c = 0 at every party). That is a valid triple, and it is safe
+// exactly for padding lanes whose every wire value is public: there the
+// opened d = x ⊕ a and e = y ⊕ b disclose only public values. OT
+// preprocessing does not amortize across lanes — each live lane's cross
+// terms still need their own OTs — the wide win is the online phase; this
+// keeps the cost model honest, and a ragged slab pays only for its live
+// lanes.
+func GenTriplesWideOT(net transport.Network, count, lanes int, seed int64) ([]WideTriples, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("gmw: negative triple count %d", count)
 	}
-	scalar, err := GenTriplesOT(net, count*WideLanes, seed)
+	if lanes < 1 || lanes > WideLanes {
+		return nil, fmt.Errorf("gmw: %d live lanes, want 1..%d", lanes, WideLanes)
+	}
+	scalar, err := GenTriplesOT(net, count*lanes, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +138,8 @@ func GenTriplesWideOT(net transport.Network, count int, seed int64) ([]WideTripl
 			C: make([]uint64, count),
 		}
 		for t := 0; t < count; t++ {
-			for k := 0; k < WideLanes; k++ {
-				i := t*WideLanes + k
+			for k := 0; k < lanes; k++ {
+				i := t*lanes + k
 				wt.A[t] |= uint64(pt.A[i]&1) << uint(k)
 				wt.B[t] |= uint64(pt.B[i]&1) << uint(k)
 				wt.C[t] |= uint64(pt.C[i]&1) << uint(k)

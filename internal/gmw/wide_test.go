@@ -68,29 +68,49 @@ func TestGenTriplesWideShardedDeterministic(t *testing.T) {
 	}
 }
 
-// OT-backed wide triples: 64 scalar OT triples per word, packed lane-wise.
+// OT-backed wide triples: one scalar OT triple per live lane, packed
+// lane-wise; lanes past the live ones carry the all-zero triple.
 func TestGenTriplesWideOT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("public-key OT preprocessing is slow")
+	}
+	for _, lanes := range []int{WideLanes, 3} {
+		net, err := transport.NewInMem(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		triples, err := GenTriplesWideOT(net, 2, lanes, 5)
+		net.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := uint64(0)
+		if lanes < WideLanes {
+			dead = ^uint64(0) << uint(lanes)
+		}
+		for tt := 0; tt < 2; tt++ {
+			var a, b, c uint64
+			for p := range triples {
+				a ^= triples[p].A[tt]
+				b ^= triples[p].B[tt]
+				c ^= triples[p].C[tt]
+				if (triples[p].A[tt]|triples[p].B[tt]|triples[p].C[tt])&dead != 0 {
+					t.Fatalf("lanes=%d: party %d word-triple %d set a padding lane", lanes, p, tt)
+				}
+			}
+			if a&b != c {
+				t.Fatalf("lanes=%d: OT word-triple %d invalid", lanes, tt)
+			}
+		}
 	}
 	net, err := transport.NewInMem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	triples, err := GenTriplesWideOT(net, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt := 0; tt < 2; tt++ {
-		var a, b, c uint64
-		for p := range triples {
-			a ^= triples[p].A[tt]
-			b ^= triples[p].B[tt]
-			c ^= triples[p].C[tt]
-		}
-		if a&b != c {
-			t.Fatalf("OT word-triple %d invalid", tt)
+	for _, lanes := range []int{0, WideLanes + 1} {
+		if _, err := GenTriplesWideOT(net, 1, lanes, 5); err == nil {
+			t.Errorf("lanes=%d accepted", lanes)
 		}
 	}
 }

@@ -60,15 +60,24 @@ func (s Scheme) Shares() int { return s.c }
 // shares are drawn uniformly from Z_q using rng; the last is the balancing
 // term.
 func (s Scheme) Split(rng *rand.Rand, v uint64) []uint64 {
-	v = s.f.Reduce(v)
 	shares := make([]uint64, s.c)
-	var sum uint64
-	for k := 0; k < s.c-1; k++ {
-		shares[k] = s.f.Rand(rng)
-		sum = s.f.Add(sum, shares[k])
-	}
-	shares[s.c-1] = s.f.Sub(v, sum)
+	s.SplitInto(rng, v, shares)
 	return shares
+}
+
+// SplitInto is Split writing the c shares into dst (len(dst) must be c)
+// instead of a fresh slice. It consumes rng exactly as Split does, so the
+// two produce the same shares from the same stream.
+func (s Scheme) SplitInto(rng *rand.Rand, v uint64, dst []uint64) {
+	if len(dst) != s.c {
+		panic(fmt.Sprintf("secretshare: SplitInto got %d slots for %d shares", len(dst), s.c))
+	}
+	var sum uint64
+	for k := range dst[:s.c-1] {
+		dst[k] = s.f.Rand(rng)
+		sum = s.f.Add(sum, dst[k])
+	}
+	dst[s.c-1] = s.f.Sub(s.f.Reduce(v), sum)
 }
 
 // Combine reconstructs the secret from exactly the full share set.

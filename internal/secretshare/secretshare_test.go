@@ -265,3 +265,40 @@ func BenchmarkSplit(b *testing.B) {
 		s.Split(rng, uint64(i))
 	}
 }
+
+// SplitInto must write exactly the shares Split returns and leave rng in
+// the same state, over prime fields and power-of-two groups alike.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	pow2, err := field.NewAdditive(1 << 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []field.Field{field.Default(), field.MustNew(5), pow2} {
+		for _, c := range []int{2, 3, 7} {
+			s := MustNew(f, c)
+			a := rand.New(rand.NewSource(int64(c)))
+			b := rand.New(rand.NewSource(int64(c)))
+			dst := make([]uint64, c)
+			for i := 0; i < 500; i++ {
+				v := a.Uint64()
+				b.Uint64()
+				want := s.Split(a, v)
+				s.SplitInto(b, v, dst)
+				for k := range want {
+					if dst[k] != want[k] {
+						t.Fatalf("q=%d c=%d secret %d: share %d = %d, want %d", f.Modulus(), c, v, k, dst[k], want[k])
+					}
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("q=%d c=%d: SplitInto left rng in a different state", f.Modulus(), c)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SplitInto accepted a short destination")
+		}
+	}()
+	MustNew(pow2, 3).SplitInto(rand.New(rand.NewSource(1)), 1, make([]uint64, 2))
+}

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/metrics"
 	"repro/internal/secretshare"
 	"repro/internal/trace"
@@ -177,10 +178,11 @@ func runProvider(node transport.Node, scheme secretshare.Scheme, input []uint64,
 	for k := range perDest {
 		perDest[k] = make([]uint64, numIDs)
 	}
+	sh := make([]uint64, c)
 	for j, v := range input {
-		sh := scheme.Split(rng, v)
-		for k := range sh {
-			perDest[k][j] = sh[k]
+		scheme.SplitInto(rng, v, sh)
+		for k, x := range sh {
+			perDest[k][j] = x
 		}
 	}
 
@@ -213,11 +215,7 @@ func runProvider(node transport.Node, scheme secretshare.Scheme, input []uint64,
 		if len(msg.Data) != numIDs {
 			return nil, fmt.Errorf("share %d has %d elements, want %d", k, len(msg.Data), numIDs)
 		}
-		var err2 error
-		super, err2 = scheme.AddVectors(super, msg.Data)
-		if err2 != nil {
-			return nil, err2
-		}
+		addInto(f, super, msg.Data)
 		// The received vector is folded in and exclusively ours; recycle it.
 		transport.PutWords(msg.Data)
 	}
@@ -257,12 +255,19 @@ func runProvider(node transport.Node, scheme secretshare.Scheme, input []uint64,
 		if len(gm.Data) != numIDs {
 			return nil, fmt.Errorf("super-share from %d has %d elements, want %d", from, len(gm.Data), numIDs)
 		}
-		for j, v := range gm.Data {
-			acc[j] = f.Add(acc[j], f.Reduce(v))
-		}
+		addInto(f, acc, gm.Data)
 		transport.PutWords(gm.Data)
 	}
 	return acc, nil
+}
+
+// addInto folds src into acc element-wise mod q, in place. The caller has
+// checked the lengths match.
+func addInto(f field.Field, acc, src []uint64) {
+	acc = acc[:len(src)]
+	for j, v := range src {
+		acc[j] = f.Add(acc[j], f.Reduce(v))
+	}
 }
 
 // Frequencies reconstructs per-identity frequencies from the c coordinator

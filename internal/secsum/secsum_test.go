@@ -1,6 +1,9 @@
 package secsum
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -352,5 +355,42 @@ func TestMetricsWiring(t *testing.T) {
 	}
 	if got := reg.Counter("eppi_transport_bytes_total", "").Value(); got != res.Stats.Bytes {
 		t.Fatalf("registry saw %d bytes, Stats %d", got, res.Stats.Bytes)
+	}
+}
+
+// TestCoordinatorSharesGolden pins the exact coordinator share vectors of
+// one run over Z_{2^5}, the group the secure construction uses. The
+// digest was recorded before the division-free field path and the
+// in-place share folding existed, so it proves both keep every share —
+// and the randomness each provider consumes — unchanged.
+func TestCoordinatorSharesGolden(t *testing.T) {
+	const want = "90ab953f81220078785865448a75ae1e78869363086f1e6cf413bac7ff938ace"
+	f, err := field.NewAdditive(1 << 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := secretshare.New(f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	inputs := make([][]uint64, 7)
+	for i := range inputs {
+		inputs[i] = make([]uint64, 50)
+		for j := range inputs[i] {
+			inputs[i][j] = uint64(rng.Intn(2))
+		}
+	}
+	res := runInMem(t, s, inputs, 99)
+	h := sha256.New()
+	var word [8]byte
+	for _, vec := range res.CoordinatorShares {
+		for _, v := range vec {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("coordinator shares digest %s, want %s", got, want)
 	}
 }

@@ -11,7 +11,8 @@
 //
 // -mpc reads a BENCH_mpc.json history (written by eppi-bench -mpcbench)
 // and compares the newest entry's wide AND-gate-instance throughput
-// against the previous entry's.
+// against the previous entry's. Older entries also carry a "scalar" phase
+// from before the construction became wide-only; it is ignored.
 //
 // Usage: benchguard [-max-regress 0.20] [-mpc] BENCH_gateway.json
 package main

@@ -100,6 +100,23 @@ func TestMPCGuardSingleEntryIsBaseline(t *testing.T) {
 	}
 }
 
+// Entries from before the secure construction became wide-only carry a
+// "scalar" phase and a "speedup"; they must still parse and gate against
+// wide-only entries on their "wide" throughput alone.
+func TestMPCGuardReadsEntriesWithScalarPhase(t *testing.T) {
+	legacy := `{"timestamp":"t1","and_gate_instances":743552,` +
+		`"scalar":{"seconds":0.27,"total_seconds":0.29,"and_gate_instances_per_sec":2.7e6},` +
+		`"wide":{"seconds":0.015,"total_seconds":0.035,"and_gate_instances_per_sec":4e7},"speedup":17.7}`
+	path := historyFile(t, "["+legacy+","+mpcEntryJSON("t2", 3.4e7)+"]")
+	if err := runMPC(path, 0.20); err != nil {
+		t.Fatalf("wide-only entry within budget of a legacy entry failed: %v", err)
+	}
+	path = historyFile(t, "["+legacy+","+mpcEntryJSON("t2", 3.1e7)+"]")
+	if err := runMPC(path, 0.20); err == nil {
+		t.Fatal("22.5% drop from a legacy entry's wide throughput passed the 20% guard")
+	}
+}
+
 func TestMPCGuardErrors(t *testing.T) {
 	if err := runMPC(filepath.Join(t.TempDir(), "missing.json"), 0.20); err == nil {
 		t.Error("missing file passed")
