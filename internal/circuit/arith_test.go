@@ -25,8 +25,8 @@ func TestSub(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := rng.Uint64() % 64
 		bb := rng.Uint64() % 64
-		in := append(PackBits(a, width), PackBits(bb, width)...)
-		got := UnpackBits(evalOne(t, c, in))
+		in := append(toBits(a, width), toBits(bb, width)...)
+		got := fromBits(evalOne(t, c, in))
 		want := (a - bb) & 63
 		if got != want {
 			t.Fatalf("%d - %d = %d, want %d", a, bb, got, want)
@@ -54,7 +54,7 @@ func TestMulConst(t *testing.T) {
 		}
 		c := mustBuild(t, b)
 		for _, v := range []uint64{0, 1, 5, 33, 63} {
-			got := UnpackBits(evalOne(t, c, PackBits(v, 6)))
+			got := fromBits(evalOne(t, c, toBits(v, 6)))
 			want := (v * k) % (1 << width)
 			if got != want {
 				t.Fatalf("%d * %d = %d, want %d", v, k, got, want)
@@ -85,12 +85,12 @@ func TestDiv(t *testing.T) {
 	prop := func(a, bb uint8) bool {
 		va := uint64(a) % 128
 		vb := uint64(bb) % 128
-		in := append(PackBits(va, width), PackBits(vb, width)...)
+		in := append(toBits(va, width), toBits(vb, width)...)
 		out, err := c.Evaluate(in)
 		if err != nil {
 			return false
 		}
-		got := UnpackBits(out)
+		got := fromBits(out)
 		if vb == 0 {
 			return got == 127 // saturation
 		}
@@ -184,7 +184,7 @@ func TestPureBetaMatchesFormula(t *testing.T) {
 		for i := 0; i < p.Providers; i++ {
 			for j := 0; j < p.Identities; j++ {
 				in = append(in, bits[i][j])
-				in = append(in, PackBits(0, p.CoinBits)...)
+				in = append(in, toBits(0, p.CoinBits)...)
 			}
 		}
 		out, err := c.Evaluate(in)
@@ -194,7 +194,7 @@ func TestPureBetaMatchesFormula(t *testing.T) {
 		per := 1 + w
 		for j := 0; j < p.Identities; j++ {
 			hidden := out[j*per]
-			beta := UnpackBits(out[j*per+1 : (j+1)*per])
+			beta := fromBits(out[j*per+1 : (j+1)*per])
 			if p.EpsFixed[j] == 0 {
 				if !hidden || beta != 0 {
 					t.Fatalf("ε=1 identity: hidden=%v β=%d", hidden, beta)
@@ -248,7 +248,7 @@ func TestPureBetaMixing(t *testing.T) {
 		if i == 0 {
 			coin = 3
 		}
-		in = append(in, PackBits(coin, 4)...)
+		in = append(in, toBits(coin, 4)...)
 	}
 	out, err := c.Evaluate(in)
 	if err != nil {
@@ -257,7 +257,7 @@ func TestPureBetaMixing(t *testing.T) {
 	if !out[0] {
 		t.Fatal("mixed identity not hidden")
 	}
-	if UnpackBits(out[1:1+w]) != 0 {
+	if fromBits(out[1:1+w]) != 0 {
 		t.Fatal("hidden identity leaked β")
 	}
 }

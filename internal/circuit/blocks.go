@@ -168,23 +168,3 @@ func BitsNeeded(maxValue uint64) int {
 	}
 	return w
 }
-
-// PackBits converts a uint64 to width little-endian bools.
-func PackBits(v uint64, width int) []bool {
-	out := make([]bool, width)
-	for i := range out {
-		out[i] = v>>uint(i)&1 == 1
-	}
-	return out
-}
-
-// UnpackBits converts little-endian bools back to a uint64.
-func UnpackBits(bits []bool) uint64 {
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}

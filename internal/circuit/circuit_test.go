@@ -146,8 +146,8 @@ func TestAdder(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := rng.Uint64() % (1 << width)
 		bb := rng.Uint64() % (1 << width)
-		in := append(PackBits(a, width), PackBits(bb, width)...)
-		got := UnpackBits(evalOne(t, c, in))
+		in := append(toBits(a, width), toBits(bb, width)...)
+		got := fromBits(evalOne(t, c, in))
 		want := (a + bb) % (1 << width)
 		if got != want {
 			t.Fatalf("%d + %d = %d, want %d", a, bb, got, want)
@@ -174,8 +174,8 @@ func TestAddWide(t *testing.T) {
 	}
 	c := mustBuild(t, b)
 	for _, pair := range [][2]uint64{{31, 31}, {0, 0}, {16, 16}, {31, 1}} {
-		in := append(PackBits(pair[0], width), PackBits(pair[1], width)...)
-		got := UnpackBits(evalOne(t, c, in))
+		in := append(toBits(pair[0], width), toBits(pair[1], width)...)
+		got := fromBits(evalOne(t, c, in))
 		if want := pair[0] + pair[1]; got != want {
 			t.Fatalf("AddWide(%d,%d) = %d, want %d", pair[0], pair[1], got, want)
 		}
@@ -229,7 +229,7 @@ func TestComparators(t *testing.T) {
 	c := mustBuild(t, b)
 	for a := uint64(0); a < 32; a += 3 {
 		for bb := uint64(0); bb < 32; bb += 2 {
-			in := append(PackBits(a, width), PackBits(bb, width)...)
+			in := append(toBits(a, width), toBits(bb, width)...)
 			got := evalOne(t, c, in)
 			if got[0] != (a < bb) || got[1] != (a >= bb) || got[2] != (a == bb) {
 				t.Fatalf("compare(%d,%d) = %v", a, bb, got)
@@ -256,7 +256,7 @@ func TestComparatorAgainstConstantFolds(t *testing.T) {
 		t.Fatalf("AndGates = %d, expected folding below %d", stats.AndGates, width)
 	}
 	for _, v := range []uint64{0, 99, 100, 101, 255} {
-		got := evalOne(t, c, PackBits(v, width))
+		got := evalOne(t, c, toBits(v, width))
 		if got[0] != (v >= 100) {
 			t.Fatalf("v=%d: got %v", v, got[0])
 		}
@@ -287,7 +287,7 @@ func TestPopCount(t *testing.T) {
 					want++
 				}
 			}
-			if got := UnpackBits(evalOne(t, c, in)); got != want {
+			if got := fromBits(evalOne(t, c, in)); got != want {
 				t.Fatalf("n=%d popcount = %d, want %d", n, got, want)
 			}
 		}
@@ -313,12 +313,12 @@ func TestSumModMatchesModularArithmetic(t *testing.T) {
 	c := mustBuild(t, b)
 	prop := func(a, bb, cc uint8) bool {
 		va, vb, vc := uint64(a%16), uint64(bb%16), uint64(cc%16)
-		in := append(append(PackBits(va, width), PackBits(vb, width)...), PackBits(vc, width)...)
+		in := append(append(toBits(va, width), toBits(vb, width)...), toBits(vc, width)...)
 		out, err := c.Evaluate(in)
 		if err != nil {
 			return false
 		}
-		return UnpackBits(out) == (va+vb+vc)%16
+		return fromBits(out) == (va+vb+vc)%16
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -419,12 +419,32 @@ func TestOpString(t *testing.T) {
 	}
 }
 
+// toBits converts a uint64 to width little-endian bools.
+func toBits(v uint64, width int) []bool {
+	out := make([]bool, width)
+	for i := range out {
+		out[i] = v>>uint(i)&1 == 1
+	}
+	return out
+}
+
+// fromBits converts little-endian bools back to a uint64.
+func fromBits(bits []bool) uint64 {
+	var v uint64
+	for i, b := range bits {
+		if b {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
 func TestBitsHelpers(t *testing.T) {
 	if BitsNeeded(0) != 1 || BitsNeeded(1) != 1 || BitsNeeded(2) != 2 || BitsNeeded(255) != 8 || BitsNeeded(256) != 9 {
 		t.Fatal("BitsNeeded wrong")
 	}
 	for _, v := range []uint64{0, 1, 5, 100, 1023} {
-		if got := UnpackBits(PackBits(v, 10)); got != v {
+		if got := fromBits(toBits(v, 10)); got != v {
 			t.Fatalf("pack/unpack %d -> %d", v, got)
 		}
 	}

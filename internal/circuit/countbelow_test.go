@@ -13,14 +13,14 @@ func evalCountBelow(t *testing.T, c *Circuit, p CountBelowParams, shares [][]uin
 	var in []bool
 	for k := 0; k < p.Parties; k++ {
 		for j := 0; j < p.Identities; j++ {
-			in = append(in, PackBits(shares[k][j], p.ShareBits)...)
+			in = append(in, toBits(shares[k][j], p.ShareBits)...)
 		}
 	}
 	out, err := c.Evaluate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return UnpackBits(out)
+	return fromBits(out)
 }
 
 func TestCountBelowMatchesPlaintext(t *testing.T) {
@@ -122,7 +122,7 @@ func TestPureMPCMatchesPlaintext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := UnpackBits(out); got != want {
+		if got := fromBits(out); got != want {
 			t.Fatalf("trial %d: count = %d, want %d", trial, got, want)
 		}
 	}
@@ -198,7 +198,7 @@ func TestCountBelowQuick(t *testing.T) {
 		s0 := rng.Uint64() % mod
 		s1 := rng.Uint64() % mod
 		s2 := (freq + 2*mod - s0 - s1) % mod
-		in := append(append(PackBits(s0, bits), PackBits(s1, bits)...), PackBits(s2, bits)...)
+		in := append(append(toBits(s0, bits), toBits(s1, bits)...), toBits(s2, bits)...)
 		out, err := c.Evaluate(in)
 		if err != nil {
 			return false
@@ -207,7 +207,7 @@ func TestCountBelowQuick(t *testing.T) {
 		if freq >= thresh {
 			want = 1
 		}
-		return UnpackBits(out) == want
+		return fromBits(out) == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -37,12 +37,12 @@ func TestPrefixAdderCorrect(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			a := rng.Uint64() % mod
 			bb := rng.Uint64() % mod
-			in := append(PackBits(a, width), PackBits(bb, width)...)
+			in := append(toBits(a, width), toBits(bb, width)...)
 			out, err := c.Evaluate(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := UnpackBits(out); got != (a+bb)%mod {
+			if got := fromBits(out); got != (a+bb)%mod {
 				t.Fatalf("width %d: %d + %d = %d, want %d", width, a, bb, got, (a+bb)%mod)
 			}
 		}
@@ -77,7 +77,7 @@ func TestPrefixComparatorCorrect(t *testing.T) {
 	prop := func(a, bb uint16) bool {
 		va := uint64(a) % 512
 		vb := uint64(bb) % 512
-		in := append(PackBits(va, width), PackBits(vb, width)...)
+		in := append(toBits(va, width), toBits(vb, width)...)
 		out, err := c.Evaluate(in)
 		if err != nil {
 			return false
@@ -154,7 +154,7 @@ func TestPrefixCompilersAgree(t *testing.T) {
 		var in []bool
 		for k := 0; k < base.Parties; k++ {
 			for j := 0; j < base.Identities; j++ {
-				in = append(in, PackBits(rng.Uint64()%mod, base.ShareBits)...)
+				in = append(in, toBits(rng.Uint64()%mod, base.ShareBits)...)
 			}
 		}
 		a, err := ripple.Evaluate(in)
@@ -165,8 +165,8 @@ func TestPrefixCompilersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if UnpackBits(a) != UnpackBits(b) {
-			t.Fatalf("trial %d: ripple %d != prefix %d", trial, UnpackBits(a), UnpackBits(b))
+		if fromBits(a) != fromBits(b) {
+			t.Fatalf("trial %d: ripple %d != prefix %d", trial, fromBits(a), fromBits(b))
 		}
 	}
 }

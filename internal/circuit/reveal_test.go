@@ -11,8 +11,8 @@ func evalReveal(t *testing.T, c *Circuit, p RevealParams, shares [][]uint64, coi
 	var in []bool
 	for k := 0; k < p.Parties; k++ {
 		for j := 0; j < p.Identities; j++ {
-			in = append(in, PackBits(shares[k][j], p.ShareBits)...)
-			in = append(in, PackBits(coins[k][j], p.CoinBits)...)
+			in = append(in, toBits(shares[k][j], p.ShareBits)...)
+			in = append(in, toBits(coins[k][j], p.CoinBits)...)
 		}
 	}
 	out, err := c.Evaluate(in)
@@ -27,7 +27,7 @@ func evalReveal(t *testing.T, c *Circuit, p RevealParams, shares [][]uint64, coi
 	masked = make([]uint64, p.Identities)
 	for j := 0; j < p.Identities; j++ {
 		hidden[j] = out[j*per]
-		masked[j] = UnpackBits(out[j*per+1 : (j+1)*per])
+		masked[j] = fromBits(out[j*per+1 : (j+1)*per])
 	}
 	return hidden, masked
 }
@@ -178,7 +178,7 @@ func TestPureRevealSemantics(t *testing.T) {
 		for i := 0; i < p.Providers; i++ {
 			for j := 0; j < p.Identities; j++ {
 				in = append(in, bits[i][j])
-				in = append(in, PackBits(coins[i][j], p.CoinBits)...)
+				in = append(in, toBits(coins[i][j], p.CoinBits)...)
 			}
 		}
 		out, err := c.Evaluate(in)
@@ -188,7 +188,7 @@ func TestPureRevealSemantics(t *testing.T) {
 		per := 1 + width
 		for j := 0; j < p.Identities; j++ {
 			hidden := out[j*per]
-			masked := UnpackBits(out[j*per+1 : (j+1)*per])
+			masked := fromBits(out[j*per+1 : (j+1)*per])
 			common := freqs[j] >= p.Thresholds[j]
 			mix := jointCoin[j] < p.MixThreshold
 			wantHidden := common || mix

@@ -24,9 +24,10 @@ import "fmt"
 //
 // CountBelowSlice deliberately has no opening step: revealing per-identity
 // ≥-bits would leak exactly the common set that ε-PPI hides. The wide run
-// keeps the output *shared*; SliceCount is the small scalar circuit that
-// XOR-reconstructs the 64 lane bits inside MPC, popcounts them, and opens
-// only the per-slab count — the same count granularity the batch pipeline
+// keeps the output *shared*; SliceCount is the small popcount circuit,
+// evaluated as a wide run with one live lane, that XOR-reconstructs a
+// batch's kept lane bits inside MPC, popcounts them, and opens only the
+// per-batch count — the same count granularity the batch pipeline
 // already discloses.
 
 // SliceParams configures CountBelowSlice and RevealSlice.

@@ -33,7 +33,7 @@ func TestCountBelowSliceMatchesDirect(t *testing.T) {
 			shares[0] = (shares[0] + mod - thr) % mod // fold the offset
 			var in []bool
 			for k := 0; k < p.Parties; k++ {
-				in = append(in, PackBits(shares[k], w)...)
+				in = append(in, toBits(shares[k], w)...)
 			}
 			out, err := c.Evaluate(in)
 			if err != nil {
@@ -86,7 +86,7 @@ func TestSliceCountMatchesPopcount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := UnpackBits(out); got != want {
+		if got := fromBits(out); got != want {
 			t.Fatalf("trial %d: count=%d, want %d", trial, got, want)
 		}
 	}
@@ -125,10 +125,10 @@ func TestRevealSliceMatchesDirect(t *testing.T) {
 			shares[p.Parties-1] = (freq + mod - sum) % mod
 			var in []bool
 			for k := 0; k < p.Parties; k++ {
-				in = append(in, PackBits(shares[k], w)...)
-				in = append(in, PackBits(coins[k], p.CoinBits)...)
+				in = append(in, toBits(shares[k], w)...)
+				in = append(in, toBits(coins[k], p.CoinBits)...)
 			}
-			in = append(in, PackBits(mod-thr, w)...) // party 0 offset input
+			in = append(in, toBits(mod-thr, w)...) // party 0 offset input
 			out, err := c.Evaluate(in)
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +145,7 @@ func TestRevealSliceMatchesDirect(t *testing.T) {
 			if wantHidden {
 				wantMasked = 0
 			}
-			if got := UnpackBits(out[1:]); got != wantMasked {
+			if got := fromBits(out[1:]); got != wantMasked {
 				t.Fatalf("mix=%d freq=%d thr=%d: masked=%d, want %d", mixThr, freq, thr, got, wantMasked)
 			}
 		}

@@ -70,7 +70,7 @@ const (
 	// TripleDealer uses a trusted offline dealer (fast; the default).
 	TripleDealer TripleSource = iota
 	// TripleOT generates triples with the pairwise oblivious-transfer
-	// protocol (gmw.GenTriplesOT) — no trusted party, at real
+	// protocol (gmw.GenTriplesWideOT) — no trusted party, at real
 	// public-key-operation cost.
 	TripleOT
 )

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -31,24 +30,6 @@ func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
 		acc.AndDepth = s.AndDepth
 	}
 	return acc
-}
-
-// pickBatchErr selects the error to surface from a set of per-batch
-// results: the first (lowest-batch) error that is not a transport-closed
-// cascade, falling back to the first error. When one batch fails the
-// whole mux is closed to abort its siblings, so most entries are
-// ErrClosed victims of the real failure.
-func pickBatchErr(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil || (errors.Is(first, transport.ErrClosed) && !errors.Is(err, transport.ErrClosed)) {
-			first = err
-		}
-	}
-	return first
 }
 
 // constructSecure runs the real distributed pipeline of Section IV:
@@ -183,7 +164,7 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		cbOuts[b] = out
 		return nil
 	})
-	if err := pickBatchErr(cbErrs); err != nil {
+	if err := transport.RootCause(cbErrs); err != nil {
 		return nil, err
 	}
 	commonCount, waste := 0, 0
@@ -242,7 +223,7 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		rvOuts[b] = out
 		return nil
 	})
-	if err := pickBatchErr(rvErrs); err != nil {
+	if err := transport.RootCause(rvErrs); err != nil {
 		return nil, err
 	}
 	for _, out := range rvOuts {

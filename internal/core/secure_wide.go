@@ -28,9 +28,9 @@ import (
 //     makes that a single compilation per construction.
 //
 //   - Nothing extra is opened. CountBelowSlice runs shares-kept (the
-//     per-identity ≥-bits stay secret); a scalar SliceCount execution per
-//     batch XORs the kept lane shares and opens only the batch's popcount
-//     (batch counts are public parameters).
+//     per-identity ≥-bits stay secret); one SliceCount execution per
+//     batch (a single live lane) XORs the kept lane shares and opens only
+//     the batch's popcount (batch counts are public parameters).
 //
 //   - The outcome is pinned. The count is an exact sum, so λ and the
 //     mixing threshold follow from it alone; the mixing coins come from
@@ -105,45 +105,22 @@ func (ws *wideState) inSession(stage string, sessID uint32, attrs []trace.Attr, 
 	return nil
 }
 
-// runScalar executes the one scalar coordinator computation — the
-// per-batch SliceCount popcount opener over identities [lo, hi) — with
-// preprocessing per the configuration: sharded dealer, or pairwise OT run
-// over the same session before the online phase.
-func (ws *wideState) runScalar(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]bool, seed int64) (*gmw.Result, error) {
-	var res *gmw.Result
-	attrs := []trace.Attr{trace.Int("batch_lo", lo), trace.Int("batch_hi", hi)}
-	err := ws.inSession(stage, sessID, attrs, func(sess transport.Network) error {
-		andGates := circ.Stats().AndGates
-		var triples []gmw.PartyTriples
-		var err error
-		if ws.cfg.Triples == TripleOT {
-			if triples, err = gmw.GenTriplesOT(sess, andGates, seed+7919); err != nil {
-				return fmt.Errorf("OT preprocessing: %w", err)
-			}
-		} else if triples, err = gmw.GenTriplesSharded(seed, ws.c, andGates, ws.workers); err != nil {
-			return err
-		}
-		res, err = gmw.RunWithTriples(sess, circ, inputs, triples, seed)
-		return err
-	})
-	return res, err
-}
-
-// runWide executes one bit-sliced slab over identities [lo, hi), with
-// wide-packed preprocessing per the configuration: sharded dealer, or
-// per-lane OT over the same session. keepShared leaves the outputs
-// XOR-shared (RunWideShared) instead of opening them.
-func (ws *wideState) runWide(stage string, sessID uint32, lo, hi int, circ *circuit.Circuit, inputs [][]uint64, seed int64, keepShared bool) (*gmw.WideResult, error) {
+// runWide executes one bit-sliced GMW run over identities [lo, hi) with
+// preprocessing per the configuration: sharded dealer, or pairwise OT over
+// the same session before the online phase. Only the first lanes lanes
+// carry data (a ragged slab's live identities, or the one lane of the
+// per-batch popcount opener); the rest are public-zero padding, which OT
+// preprocessing serves with the free all-zero triple. keepShared leaves
+// the outputs XOR-shared (RunWideShared) instead of opening them.
+func (ws *wideState) runWide(stage string, sessID uint32, lo, hi, lanes int, circ *circuit.Circuit, inputs [][]uint64, seed int64, keepShared bool) (*gmw.WideResult, error) {
 	var res *gmw.WideResult
-	attrs := []trace.Attr{trace.Int("slab_lo", lo), trace.Int("slab_hi", hi)}
+	attrs := []trace.Attr{trace.Int("lo", lo), trace.Int("hi", hi), trace.Int("lanes", lanes)}
 	err := ws.inSession(stage, sessID, attrs, func(sess transport.Network) error {
 		andGates := circ.Stats().AndGates
 		var triples []gmw.WideTriples
 		var err error
 		if ws.cfg.Triples == TripleOT {
-			// Only lanes lo..hi-1 are live; padded lanes carry public
-			// values and take the free all-zero triple.
-			if triples, err = gmw.GenTriplesWideOT(sess, andGates, hi-lo, seed+7919); err != nil {
+			if triples, err = gmw.GenTriplesWideOT(sess, andGates, lanes, seed+7919); err != nil {
 				return fmt.Errorf("OT preprocessing: %w", err)
 			}
 		} else if triples, err = gmw.GenTriplesWideSharded(seed, ws.c, andGates, ws.workers); err != nil {
@@ -161,8 +138,8 @@ func (ws *wideState) runWide(stage string, sessID uint32, lo, hi int, circ *circ
 
 // countBelowBatch is stage B for one identity batch: per slab, a
 // shares-kept CountBelowSlice execution produces the 64 ≥-threshold bit
-// shares; then ONE scalar SliceCount execution per batch opens the
-// popcount of every live lane's kept share at once. Opening per batch — not per
+// shares; then ONE SliceCount execution per batch opens the popcount of
+// every live lane's kept share at once. Opening per batch — not per
 // slab — keeps the release granularity at the batch counts, the only
 // partial sums ever disclosed, and costs one opener session instead of
 // one per slab.
@@ -175,9 +152,11 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 		return out, fmt.Errorf("compile CountBelowSlice: %w", err)
 	}
 	mod := uint64(1) << uint(ws.w)
-	laneShares := make([][]bool, ws.c)
+	// laneShares[k] holds party k's kept ≥-bit share of every live
+	// identity in the batch, one per word in bit 0: the opener's input.
+	laneShares := make([][]uint64, ws.c)
 	for k := range laneShares {
-		laneShares[k] = make([]bool, 0, hi-lo)
+		laneShares[k] = make([]uint64, 0, hi-lo)
 	}
 	for slabLo := lo; slabLo < hi; slabLo += gmw.WideLanes {
 		slabHi := slabLo + gmw.WideLanes
@@ -208,7 +187,7 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 			}
 			inputs[k] = packPlanes(&rows, ws.w)
 		}
-		wres, err := ws.runWide("mpc.countbelow", wideSessCountBelow(slabLo), slabLo, slabHi, cbCirc, inputs,
+		wres, err := ws.runWide("mpc.countbelow", wideSessCountBelow(slabLo), slabLo, slabHi, active, cbCirc, inputs,
 			mathx.DeriveSeed(ws.cfg.Seed, seedStreamWideCountBelow, uint64(slabLo)), true)
 		if err != nil {
 			return out, fmt.Errorf("CountBelowSlice MPC [%d:%d]: %w", slabLo, slabHi, err)
@@ -216,7 +195,7 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 		for k := range laneShares {
 			word := wres.OutputShares[k][0]
 			for s := 0; s < active; s++ {
-				laneShares[k] = append(laneShares[k], word>>uint(s)&1 == 1)
+				laneShares[k] = append(laneShares[k], word>>uint(s)&1)
 			}
 		}
 		out.circ = addCircuitStats(out.circ, cbCirc.Stats())
@@ -224,20 +203,24 @@ func (ws *wideState) countBelowBatch(lo, hi int) (wideOut, error) {
 		out.stats.Bytes += wres.Stats.Bytes
 		out.rounds += wres.Rounds
 	}
-	// One popcount opener for the whole batch, over its live lanes only
-	// (a padded lane's ≥-bit is a public 0).
+	// One popcount opener for the whole batch, over its live identities
+	// only (a padded lane's ≥-bit is a public 0). It runs as a wide
+	// execution with one live lane: lane 0 of every input word carries a
+	// share bit, and the count is lane 0 of the output words.
 	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{
 		Parties: ws.c, Slots: len(laneShares[0]), Arithmetic: ws.cfg.Arithmetic,
 	})
 	if err != nil {
 		return out, fmt.Errorf("compile SliceCount: %w", err)
 	}
-	scRes, err := ws.runScalar("mpc.slicecount", wideSessSliceCount(lo), lo, hi, scCirc, laneShares,
-		mathx.DeriveSeed(ws.cfg.Seed, seedStreamSliceCount, uint64(lo)))
+	scRes, err := ws.runWide("mpc.slicecount", wideSessSliceCount(lo), lo, hi, 1, scCirc, laneShares,
+		mathx.DeriveSeed(ws.cfg.Seed, seedStreamSliceCount, uint64(lo)), false)
 	if err != nil {
 		return out, fmt.Errorf("SliceCount MPC [%d:%d]: %w", lo, hi, err)
 	}
-	out.count = int(circuit.UnpackBits(scRes.Outputs))
+	for i, word := range scRes.Outputs {
+		out.count |= int(word&1) << uint(i)
+	}
 	out.circ = addCircuitStats(out.circ, scCirc.Stats())
 	out.stats.Messages += scRes.Stats.Messages
 	out.stats.Bytes += scRes.Stats.Bytes
@@ -298,7 +281,7 @@ func (ws *wideState) revealBatch(b, lo, hi, coinBits int, coinMod, mixThreshold 
 			}
 			inputs[k] = in
 		}
-		wres, err := ws.runWide("mpc.reveal", wideSessReveal(slabLo), slabLo, slabHi, rvCirc, inputs,
+		wres, err := ws.runWide("mpc.reveal", wideSessReveal(slabLo), slabLo, slabHi, active, rvCirc, inputs,
 			mathx.DeriveSeed(ws.cfg.Seed, seedStreamWideReveal, uint64(slabLo)), false)
 		if err != nil {
 			return out, fmt.Errorf("RevealSlice MPC [%d:%d]: %w", slabLo, slabHi, err)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/circuit"
@@ -17,8 +18,9 @@ import (
 // Figure 6 evaluates the construction protocol's performance: the
 // MPC-reduced ε-PPI pipeline (SecSumShare + c-party CountBelow/Reveal)
 // against the pure-MPC baseline in which all m providers are parties to a
-// single circuit that also computes the raw β* in fixed point (the
-// unreordered computation flow of Equation 8).
+// circuit that also computes the raw β* in fixed point (the unreordered
+// computation flow of Equation 8). Both run on the same bit-sliced GMW
+// evaluator.
 //
 // The experiments use c = 3 coordinators, matching the paper.
 
@@ -47,9 +49,29 @@ func netFactory(opts Options) func(int) (transport.Network, error) {
 	}
 }
 
+// fig6Reps is the number of runs behind each Fig 6a/6c time. A point is
+// their median: a single run takes about a millisecond, so one GC pause
+// or descheduled goroutine would otherwise decide which series is faster.
+const fig6Reps = 5
+
+// medianTime runs the timed pipeline fig6Reps times on the same inputs
+// and returns the median duration.
+func medianTime(run func(Options, int, int, int64) (time.Duration, error), opts Options, m, identities int, seed int64) (time.Duration, error) {
+	durs := make([]time.Duration, fig6Reps)
+	for i := range durs {
+		d, err := run(opts, m, identities, seed)
+		if err != nil {
+			return 0, err
+		}
+		durs[i] = d
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	return durs[fig6Reps/2], nil
+}
+
 // securePipelineTime runs the full secure ε-PPI construction over the
-// configured transport and returns the wall-clock duration plus stats.
-func securePipelineTime(opts Options, m, identities int, seed int64) (time.Duration, *core.SecureStats, error) {
+// configured transport and returns its wall-clock duration.
+func securePipelineTime(opts Options, m, identities int, seed int64) (time.Duration, error) {
 	rng := rand.New(rand.NewSource(seed))
 	freqs := make([]int, identities)
 	for j := range freqs {
@@ -62,7 +84,7 @@ func securePipelineTime(opts Options, m, identities int, seed int64) (time.Durat
 		Seed:        seed,
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	cfg := core.Config{
 		Policy:     mathx.PolicyChernoff,
@@ -76,52 +98,65 @@ func securePipelineTime(opts Options, m, identities int, seed int64) (time.Durat
 		NewNetwork: netFactory(opts),
 	}
 	start := time.Now()
-	res, err := core.Construct(d.Matrix, d.Eps, cfg)
-	if err != nil {
-		return 0, nil, err
+	if _, err := core.Construct(d.Matrix, d.Eps, cfg); err != nil {
+		return 0, err
 	}
-	return time.Since(start), res.Secure, nil
+	return time.Since(start), nil
 }
 
-// pureMPCTime runs the baseline: one GMW execution among all m providers
-// evaluating the PureBeta circuit.
-func pureMPCTime(opts Options, m, identities int, seed int64) (time.Duration, *circuit.Circuit, transport.Stats, int, error) {
-	epsFixed := make([]uint64, identities)
-	for j := range epsFixed {
-		epsFixed[j] = circuit.EpsToFixed(fig6Eps, fig6FracBits)
-	}
+// pureMPCTime runs the baseline: GMW among all m providers evaluating the
+// PureBeta circuit. PureBeta's identities are independent sub-circuits
+// with the same ε constant, so the baseline compiles it for one identity
+// and evaluates 64 identities per bit-sliced run — the same evaluator the
+// e-PPI pipeline uses. Lanes past the last identity carry zero inputs.
+func pureMPCTime(opts Options, m, identities int, seed int64) (time.Duration, error) {
 	circ, err := circuit.PureBeta(circuit.PureBetaParams{
 		Providers:    m,
-		Identities:   identities,
-		EpsFixed:     epsFixed,
+		Identities:   1,
+		EpsFixed:     []uint64{circuit.EpsToFixed(fig6Eps, fig6FracBits)},
 		FracBits:     fig6FracBits,
 		CoinBits:     fig6CoinBits,
 		MixThreshold: 0,
 	})
 	if err != nil {
-		return 0, nil, transport.Stats{}, 0, err
+		return 0, err
+	}
+	// inputs[s][i] holds provider i's words for slab s: the membership bit,
+	// then the coin bits, lane k = identity 64s+k.
+	slabs := (identities + gmw.WideLanes - 1) / gmw.WideLanes
+	inputs := make([][][]uint64, slabs)
+	for s := range inputs {
+		inputs[s] = make([][]uint64, m)
+		for i := range inputs[s] {
+			inputs[s][i] = make([]uint64, 1+fig6CoinBits)
+		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	inputs := make([][]bool, m)
 	for i := 0; i < m; i++ {
-		bits := make([]bool, 0, identities*(1+fig6CoinBits))
 		for j := 0; j < identities; j++ {
-			bits = append(bits, rng.Intn(4) == 0)
-			bits = append(bits, circuit.PackBits(rng.Uint64()%(1<<fig6CoinBits), fig6CoinBits)...)
+			words := inputs[j/gmw.WideLanes][i]
+			lane := uint(j % gmw.WideLanes)
+			if rng.Intn(4) == 0 {
+				words[0] |= 1 << lane
+			}
+			coin := rng.Uint64() % (1 << fig6CoinBits)
+			for b := 0; b < fig6CoinBits; b++ {
+				words[1+b] |= (coin >> uint(b) & 1) << lane
+			}
 		}
-		inputs[i] = bits
 	}
 	net, err := netFactory(opts)(m)
 	if err != nil {
-		return 0, nil, transport.Stats{}, 0, err
+		return 0, err
 	}
 	defer net.Close()
 	start := time.Now()
-	res, err := gmw.Run(net, circ, inputs, seed)
-	if err != nil {
-		return 0, nil, transport.Stats{}, 0, fmt.Errorf("pure MPC: %w", err)
+	for s, in := range inputs {
+		if _, err := gmw.RunWide(net, circ, in, seed+int64(s)); err != nil {
+			return 0, fmt.Errorf("pure MPC slab %d: %w", s, err)
+		}
 	}
-	return time.Since(start), circ, res.Stats, res.Rounds, nil
+	return time.Since(start), nil
 }
 
 // Fig6a: execution time vs number of parties, single identity.
@@ -139,12 +174,12 @@ func Fig6a(opts Options) (*Figure, error) {
 	ePPI := Series{Label: "e-PPI"}
 	pure := Series{Label: "Pure-MPC"}
 	for _, m := range parties {
-		dur, _, err := securePipelineTime(opts, m, 1, opts.Seed+int64(m))
+		dur, err := medianTime(securePipelineTime, opts, m, 1, opts.Seed+int64(m))
 		if err != nil {
 			return nil, fmt.Errorf("e-PPI at m=%d: %w", m, err)
 		}
 		ePPI.Points = append(ePPI.Points, Point{X: float64(m), Y: float64(dur.Microseconds()) / 1000})
-		pdur, _, _, _, err := pureMPCTime(opts, m, 1, opts.Seed+int64(m))
+		pdur, err := medianTime(pureMPCTime, opts, m, 1, opts.Seed+int64(m))
 		if err != nil {
 			return nil, fmt.Errorf("pure MPC at m=%d: %w", m, err)
 		}
@@ -216,12 +251,12 @@ func Fig6c(opts Options) (*Figure, error) {
 	ePPI := Series{Label: "e-PPI"}
 	pure := Series{Label: "Pure-MPC"}
 	for _, n := range idCounts {
-		dur, _, err := securePipelineTime(opts, fig6C, n, opts.Seed+int64(n))
+		dur, err := medianTime(securePipelineTime, opts, fig6C, n, opts.Seed+int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("e-PPI at n=%d: %w", n, err)
 		}
 		ePPI.Points = append(ePPI.Points, Point{X: float64(n), Y: float64(dur.Microseconds()) / 1000})
-		pdur, _, _, _, err := pureMPCTime(opts, fig6C, n, opts.Seed+int64(n))
+		pdur, err := medianTime(pureMPCTime, opts, fig6C, n, opts.Seed+int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("pure MPC at n=%d: %w", n, err)
 		}

@@ -1,6 +1,7 @@
 package gmw
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -24,55 +25,62 @@ func andCircuit(t *testing.T) *circuit.Circuit {
 	return c
 }
 
+// runShared evaluates circ shares-kept (the CountBelow mode) with dealer
+// triples and returns the error, failing the test if the run hangs.
+func runShared(t *testing.T, net transport.Network, circ *circuit.Circuit, seed int64, abort func()) error {
+	t.Helper()
+	triples, err := GenTriplesWide(rand.New(rand.NewSource(seed)), net.Size(), circ.Stats().AndGates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, e := RunWideShared(net, circ, [][]uint64{{1}, {1}, {1}}, triples, seed)
+		done <- e
+	}()
+	if abort != nil {
+		time.Sleep(50 * time.Millisecond)
+		abort()
+	}
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("shares-kept MPC hung")
+		return nil
+	}
+}
+
+// A crashed party fails a shares-kept run fast: with no output round,
+// the failure must surface from the input and AND rounds alone.
 func TestCrashedPartyFailsFast(t *testing.T) {
-	circ := andCircuit(t)
 	inner, err := transport.NewInMem(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := transport.NewFaulty(inner, transport.FaultPlan{FailSendFrom: map[int]bool{1: true}})
 	defer net.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, e := Run(net, circ, [][]bool{{true}, {true}, {true}}, 1)
-		done <- e
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("MPC succeeded despite crashed party")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("MPC hung with crashed party")
+	if runShared(t, net, andCircuit(t), 1, nil) == nil {
+		t.Fatal("MPC succeeded despite crashed party")
 	}
 }
 
+// A shares-kept run whose every message is dropped aborts when the
+// network closes.
 func TestDroppedMessagesAbortOnClose(t *testing.T) {
-	circ := andCircuit(t)
 	inner, err := transport.NewInMem(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := transport.NewFaulty(inner, transport.FaultPlan{DropRate: 1, Seed: 2})
-	done := make(chan error, 1)
-	go func() {
-		_, e := Run(net, circ, [][]bool{{true}, {true}, {true}}, 3)
-		done <- e
-	}()
-	time.Sleep(50 * time.Millisecond)
-	net.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("MPC succeeded with every message dropped")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("MPC hung after network close")
+	if runShared(t, net, andCircuit(t), 3, func() { net.Close() }) == nil {
+		t.Fatal("MPC succeeded with every message dropped")
 	}
 }
 
 // Disagreeing outputs (caused by corrupted share traffic) must be detected
-// by the cross-party output comparison rather than returned silently.
+// by the cross-party output comparison rather than returned silently, also
+// in a run with one live lane (the popcount opener's shape).
 func TestCorruptedTrafficDetected(t *testing.T) {
 	circ := andCircuit(t)
 	detected := 0
@@ -83,7 +91,7 @@ func TestCorruptedTrafficDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := transport.NewFaulty(inner, transport.FaultPlan{CorruptRate: 0.5, Seed: int64(i)})
-		_, err = Run(net, circ, [][]bool{{true}, {true}, {true}}, int64(i))
+		_, err = RunWide(net, circ, [][]uint64{{1}, {1}, {1}}, int64(i))
 		net.Close()
 		if err != nil {
 			detected++

@@ -1,32 +1,33 @@
 // Package gmw implements a semi-honest n-party GMW protocol over boolean
-// circuits, the generic-MPC substrate that evaluates the CountBelow circuit
-// among the c ε-PPI coordinators (standing in for FairplayMP).
+// circuits, the generic-MPC substrate that evaluates the CountBelow and
+// Reveal circuits among the c ε-PPI coordinators (standing in for
+// FairplayMP).
 //
-// Wire values are XOR-shared among the parties. XOR and NOT gates are local;
-// each AND gate consumes one Beaver multiplication triple and the AND gates
-// of equal depth are opened in a single batched communication round, so the
-// online round count is 2 + AND-depth (input sharing, AND rounds, output
-// reconstruction).
+// The evaluator is bit-sliced: one execution runs WideLanes = 64
+// independent instances of a circuit (wide.go). Wire values are
+// XOR-shared among the parties, one uint64 per wire with bit k belonging
+// to instance k. XOR and NOT gates are local; each AND gate consumes one
+// Beaver word-triple and the AND gates of equal depth are opened in a
+// single batched communication round, so the online round count is
+// 2 + AND-depth (input sharing, AND rounds, output reconstruction). A
+// computation over a single instance runs with one live lane and
+// public-zero padding in the rest.
 //
-// Triples are produced by an offline trusted dealer (GenTriples). A dealer
-// is the standard MPC preprocessing abstraction; the online protocol is
-// information-theoretically secure against any proper subset of colluding
-// semi-honest parties given correct triples. The paper's FairplayMP plays
-// the same role with garbled gates; the online communication structure —
-// the thing the Figure 6 experiments measure — is preserved.
+// Triples come from an offline trusted dealer (GenTriplesWide,
+// GenTriplesWideSharded) or from pairwise oblivious transfer
+// (GenTriplesWideOT). A dealer is the standard MPC preprocessing
+// abstraction; the online protocol is information-theoretically secure
+// against any proper subset of colluding semi-honest parties given
+// correct triples. The paper's FairplayMP plays the same role with
+// garbled gates; the online communication structure — the thing the
+// Figure 6 experiments measure — is preserved.
 package gmw
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 var (
@@ -38,177 +39,7 @@ var (
 	ErrProtocol = errors.New("gmw: protocol violation")
 )
 
-// PartyTriples holds one party's XOR shares of the Beaver triples, indexed
-// by AND-gate ordinal. Bytes hold 0/1.
-type PartyTriples struct {
-	A, B, C []byte
-}
-
-// GenTriples generates Beaver triples for `parties` parties and `count` AND
-// gates from rng (the trusted dealer). For every ordinal t the shares
-// satisfy (⊕ᵢ Aᵢ[t]) ∧ (⊕ᵢ Bᵢ[t]) = ⊕ᵢ Cᵢ[t].
-func GenTriples(rng *rand.Rand, parties, count int) ([]PartyTriples, error) {
-	if parties < 2 || count < 0 {
-		return nil, fmt.Errorf("gmw: bad dealer request parties=%d count=%d", parties, count)
-	}
-	out := make([]PartyTriples, parties)
-	for p := range out {
-		out[p] = PartyTriples{
-			A: make([]byte, count),
-			B: make([]byte, count),
-			C: make([]byte, count),
-		}
-	}
-	for t := 0; t < count; t++ {
-		a := byte(rng.Intn(2))
-		b := byte(rng.Intn(2))
-		c := a & b
-		shareInto(rng, a, out, t, func(pt *PartyTriples) []byte { return pt.A })
-		shareInto(rng, b, out, t, func(pt *PartyTriples) []byte { return pt.B })
-		shareInto(rng, c, out, t, func(pt *PartyTriples) []byte { return pt.C })
-	}
-	return out, nil
-}
-
-func shareInto(rng *rand.Rand, v byte, out []PartyTriples, t int, sel func(*PartyTriples) []byte) {
-	var acc byte
-	for p := 0; p < len(out)-1; p++ {
-		s := byte(rng.Intn(2))
-		sel(&out[p])[t] = s
-		acc ^= s
-	}
-	sel(&out[len(out)-1])[t] = v ^ acc
-}
-
-// Result carries the reconstructed outputs and execution accounting.
-type Result struct {
-	// Outputs are the circuit's output bits, identical at every party.
-	Outputs []bool
-	// Rounds is the number of sequential communication rounds used.
-	Rounds int
-	// Stats is the transport traffic consumed by the run.
-	Stats transport.Stats
-}
-
-// Run evaluates circ securely over net with dealer-generated triples.
-// inputs[p] lists party p's private bits in the order p's wires appear in
-// circ.Inputs(). The dealer seed derives the preprocessing; per-party
-// online randomness derives from it deterministically so runs are
-// reproducible. Use RunWithTriples to supply OT-generated (or otherwise
-// external) preprocessing.
-func Run(net transport.Network, circ *circuit.Circuit, inputs [][]bool, seed int64) (*Result, error) {
-	andCount := circ.Stats().AndGates
-	dealerRng := rand.New(rand.NewSource(seed))
-	triples, err := GenTriples(dealerRng, net.Size(), andCount)
-	if err != nil {
-		return nil, err
-	}
-	return runCommon(net, circ, inputs, triples, seed)
-}
-
-// runCommon is the shared online phase behind Run and RunWithTriples.
-func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, triples []PartyTriples, seed int64) (*Result, error) {
-	n := net.Size()
-	if len(inputs) != n {
-		return nil, fmt.Errorf("%w: %d input sets for %d parties", ErrInputShape, len(inputs), n)
-	}
-	owned := make([][]int, n) // owned[p] = indices into circ.Inputs() owned by p
-	for idx, in := range circ.Inputs() {
-		if in.Party < 0 || in.Party >= n {
-			return nil, fmt.Errorf("%w: input wire owned by party %d in %d-party net", ErrInputShape, in.Party, n)
-		}
-		owned[in.Party] = append(owned[in.Party], idx)
-	}
-	for p := 0; p < n; p++ {
-		if len(inputs[p]) != len(owned[p]) {
-			return nil, fmt.Errorf("%w: party %d supplies %d bits, owns %d wires",
-				ErrInputShape, p, len(inputs[p]), len(owned[p]))
-		}
-	}
-	andCount := circ.Stats().AndGates
-	if len(triples) != n {
-		return nil, fmt.Errorf("%w: %d triple sets for %d parties", ErrTripleShape, len(triples), n)
-	}
-	for p, pt := range triples {
-		if len(pt.A) < andCount || len(pt.B) < andCount || len(pt.C) < andCount {
-			return nil, fmt.Errorf("%w: party %d holds %d triples, circuit needs %d",
-				ErrTripleShape, p, len(pt.A), andCount)
-		}
-	}
-
-	// Phase timers report through the registry attached to the network, if
-	// any (transport.Instrument); nil instruments no-op. Phase spans hang
-	// under the span attached to the network (transport.AttachSpan), with
-	// party 0 recording them as the representative party.
-	tm := newTimers(transport.RegistryOf(net))
-	tm.runs.Inc()
-	runSpan := transport.SpanOf(net)
-	runSpan.SetAttrs(
-		trace.Int("parties", n),
-		trace.Int("and_gates", andCount),
-		trace.Int("and_layers", len(circ.AndRounds())),
-		trace.Int("rounds", 2+len(circ.AndRounds())))
-	before := net.Stats()
-	results := make([][]bool, n)
-	errs := make([]error, n)
-	// First failure closes the network so peers blocked on a message that
-	// will never arrive fail fast instead of deadlocking.
-	var failOnce sync.Once
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var sp *trace.Span
-			if p == 0 {
-				sp = runSpan
-			}
-			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*104729))
-			out, err := runParty(net.Node(p), circ, owned, inputs[p], triples[p], rng, tm, sp)
-			if err != nil {
-				errs[p] = fmt.Errorf("party %d: %w", p, err)
-				failOnce.Do(func() { net.Close() })
-				return
-			}
-			results[p] = out
-		}(p)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, transport.ErrClosed) && !errors.Is(err, transport.ErrClosed)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// All parties must reconstruct identical outputs.
-	for p := 1; p < n; p++ {
-		for i := range results[0] {
-			if results[p][i] != results[0][i] {
-				return nil, fmt.Errorf("%w: parties 0 and %d disagree on output %d", ErrProtocol, p, i)
-			}
-		}
-	}
-	after := net.Stats()
-	tm.rounds.Add(uint64(2 + len(circ.AndRounds())))
-	tm.andLayers.Add(uint64(countAndLayers(circ)))
-	tm.triples.Add(uint64(andCount))
-	return &Result{
-		Outputs: results[0],
-		Rounds:  2 + len(circ.AndRounds()),
-		Stats: transport.Stats{
-			Messages: after.Messages - before.Messages,
-			Bytes:    after.Bytes - before.Bytes,
-		},
-	}, nil
-}
-
-// timers groups the per-phase instruments of one Run. All-nil (no registry
+// timers groups the per-phase instruments of one run. All-nil (no registry
 // on the network) no-ops.
 type timers struct {
 	runs      *metrics.Counter
@@ -227,7 +58,7 @@ func newTimers(reg *metrics.Registry) *timers {
 		runs:      reg.Counter("eppi_gmw_runs_total", "GMW protocol executions."),
 		rounds:    reg.Counter("eppi_gmw_rounds_total", "Sequential communication rounds across all GMW runs."),
 		andLayers: reg.Counter("eppi_gmw_and_rounds_total", "Batched AND-opening rounds across all GMW runs (non-empty AND layers)."),
-		triples:   reg.Counter("eppi_gmw_triples_used_total", "Beaver triple instances consumed across all GMW runs (wide runs count 64 per word-triple)."),
+		triples:   reg.Counter("eppi_gmw_triples_used_total", "Beaver word-triples consumed across all GMW runs: one per AND gate per run, however many of its 64 lanes are live."),
 		inputs:    reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "input_share")),
 		andRounds: reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "and_rounds")),
 		outputs:   reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "output")),
@@ -244,255 +75,4 @@ func countAndLayers(circ *circuit.Circuit) int {
 		}
 	}
 	return layers
-}
-
-// runParty executes one party's role and returns the reconstructed
-// outputs. sp, when non-nil (party 0), parents per-phase child spans.
-func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInputs []bool, triples PartyTriples, rng *rand.Rand, tm *timers, sp *trace.Span) ([]bool, error) {
-	n := node.Size()
-	id := node.ID()
-	coll := transport.NewCollector(node)
-	shares := make([]byte, circ.NumWires())
-	circInputs := circ.Inputs()
-	gates := circ.Gates()
-
-	phaseStart := time.Now()
-	phaseSpan := sp.Child("gmw.input_share")
-	// --- Round 1: input sharing -------------------------------------------
-	// For each owned wire, sample one share per party; keep ours, send the
-	// rest. Message to party q: packed bits of q's shares of our wires (in
-	// owned-order).
-	if len(myInputs) > 0 {
-		perParty := make([][]byte, n)
-		for q := range perParty {
-			perParty[q] = make([]byte, len(myInputs))
-		}
-		for i, v := range myInputs {
-			var acc byte
-			for q := 0; q < n-1; q++ {
-				s := byte(rng.Intn(2))
-				perParty[q][i] = s
-				acc ^= s
-			}
-			var bit byte
-			if v {
-				bit = 1
-			}
-			perParty[n-1][i] = bit ^ acc
-		}
-		for q := 0; q < n; q++ {
-			if q == id {
-				for i, wireIdx := range owned[id] {
-					shares[circInputs[wireIdx].Wire] = perParty[q][i]
-				}
-				continue
-			}
-			msg := transport.Message{Kind: transport.KindGMWShare, Data: packBits(perParty[q])}
-			if err := node.Send(q, msg); err != nil {
-				return nil, fmt.Errorf("send input shares: %w", err)
-			}
-		}
-	}
-	for p := 0; p < n; p++ {
-		if p == id || len(owned[p]) == 0 {
-			continue
-		}
-		msg, err := coll.RecvKind(transport.KindGMWShare, 0)
-		if err != nil {
-			return nil, fmt.Errorf("recv input shares: %w", err)
-		}
-		bits := unpackBits(msg.Data, len(owned[msg.From]))
-		if bits == nil {
-			return nil, fmt.Errorf("%w: short input-share message from %d", ErrProtocol, msg.From)
-		}
-		for i, wireIdx := range owned[msg.From] {
-			shares[circInputs[wireIdx].Wire] = bits[i]
-		}
-	}
-
-	tm.inputs.ObserveSince(phaseStart)
-	phaseSpan.End()
-	phaseStart = time.Now()
-	phaseSpan = sp.Child("gmw.and_rounds")
-
-	// --- Rounds 2..: layered evaluation ------------------------------------
-	evalLocal := func(gi int) {
-		g := gates[gi]
-		switch g.Op {
-		case circuit.OpXOR:
-			shares[g.Out] = shares[g.A] ^ shares[g.B]
-		case circuit.OpNOT:
-			if id == 0 {
-				shares[g.Out] = shares[g.A] ^ 1
-			} else {
-				shares[g.Out] = shares[g.A]
-			}
-		}
-	}
-	localRounds := circ.LocalByRound()
-	andRounds := circ.AndRounds()
-	// Scratch buffers shared across AND layers: the d/e batch, its packed
-	// words, the opened values and a peer-unpacking area are sized once for
-	// the widest layer instead of reallocated per round. Sent word buffers
-	// are safe to reuse after Send returns on every transport (the in-memory
-	// network copies payloads, the TCP sender encodes synchronously).
-	maxBatch := 0
-	for _, batch := range andRounds {
-		if len(batch) > maxBatch {
-			maxBatch = len(batch)
-		}
-	}
-	var deBuf, openedBuf, peerBuf []byte
-	var packedBuf []uint64
-	if maxBatch > 0 {
-		deBuf = make([]byte, 2*maxBatch)
-		openedBuf = make([]byte, 2*maxBatch)
-		peerBuf = make([]byte, 2*maxBatch)
-		packedBuf = make([]uint64, (2*maxBatch+63)/64)
-	}
-	for r := 0; r < len(andRounds); r++ {
-		for _, gi := range localRounds[r] {
-			evalLocal(gi)
-		}
-		batch := andRounds[r]
-		if len(batch) == 0 {
-			continue
-		}
-		// d = x ⊕ a, e = y ⊕ b: broadcast our shares of d,e for the batch.
-		de := deBuf[:2*len(batch)]
-		for bi, gi := range batch {
-			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			de[2*bi] = shares[g.A] ^ triples.A[t]
-			de[2*bi+1] = shares[g.B] ^ triples.B[t]
-		}
-		packed := packBitsInto(de, packedBuf)
-		for q := 0; q < n; q++ {
-			if q == id {
-				continue
-			}
-			msg := transport.Message{Kind: transport.KindGMWAnd, Seq: uint32(r + 1), Data: packed}
-			if err := node.Send(q, msg); err != nil {
-				return nil, fmt.Errorf("send AND round %d: %w", r, err)
-			}
-		}
-		opened := openedBuf[:len(de)]
-		copy(opened, de)
-		got, err := coll.GatherKind(transport.KindGMWAnd, uint32(r+1), n-1)
-		if err != nil {
-			return nil, fmt.Errorf("gather AND round %d: %w", r, err)
-		}
-		for _, msg := range got {
-			bits := unpackBitsInto(msg.Data, peerBuf[:len(de)])
-			if bits == nil {
-				return nil, fmt.Errorf("%w: short AND message from %d", ErrProtocol, msg.From)
-			}
-			for i := range opened {
-				opened[i] ^= bits[i]
-			}
-			transport.PutWords(msg.Data) // received payloads are exclusively ours
-		}
-		for bi, gi := range batch {
-			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			d, e := opened[2*bi], opened[2*bi+1]
-			z := d&triples.B[t] ^ e&triples.A[t] ^ triples.C[t]
-			if id == 0 {
-				z ^= d & e
-			}
-			shares[g.Out] = z
-		}
-	}
-	// Trailing local gates (depth == AND-depth).
-	for _, gi := range localRounds[len(andRounds)] {
-		evalLocal(gi)
-	}
-	tm.andRounds.ObserveSince(phaseStart)
-	phaseSpan.SetInt("layers", len(andRounds))
-	phaseSpan.End()
-	phaseStart = time.Now()
-	defer tm.outputs.ObserveSince(phaseStart)
-	phaseSpan = sp.Child("gmw.output")
-	defer phaseSpan.End()
-
-	// --- Final round: output reconstruction --------------------------------
-	outWires := circ.Outputs()
-	outShares := make([]byte, len(outWires))
-	for i, w := range outWires {
-		outShares[i] = shares[w]
-	}
-	packed := packBits(outShares)
-	for q := 0; q < n; q++ {
-		if q == id {
-			continue
-		}
-		msg := transport.Message{Kind: transport.KindGMWOutput, Data: packed}
-		if err := node.Send(q, msg); err != nil {
-			return nil, fmt.Errorf("send outputs: %w", err)
-		}
-	}
-	final := make([]byte, len(outShares))
-	copy(final, outShares)
-	got, err := coll.GatherKind(transport.KindGMWOutput, 0, n-1)
-	if err != nil {
-		return nil, fmt.Errorf("gather outputs: %w", err)
-	}
-	for _, msg := range got {
-		bits := unpackBits(msg.Data, len(outShares))
-		if bits == nil {
-			return nil, fmt.Errorf("%w: short output message from %d", ErrProtocol, msg.From)
-		}
-		for i := range final {
-			final[i] ^= bits[i]
-		}
-	}
-	out := make([]bool, len(final))
-	for i, b := range final {
-		out[i] = b == 1
-	}
-	return out, nil
-}
-
-// packBits packs 0/1 bytes into uint64 words, 64 bits per word.
-func packBits(bits []byte) []uint64 {
-	return packBitsInto(bits, make([]uint64, (len(bits)+63)/64))
-}
-
-// packBitsInto packs 0/1 bytes into the scratch word slice (grown if too
-// small) and returns the exact-length prefix used.
-func packBitsInto(bits []byte, scratch []uint64) []uint64 {
-	n := (len(bits) + 63) / 64
-	if cap(scratch) < n {
-		scratch = make([]uint64, n)
-	}
-	words := scratch[:n]
-	for i := range words {
-		words[i] = 0
-	}
-	for i, b := range bits {
-		if b&1 == 1 {
-			words[i/64] |= 1 << uint(i%64)
-		}
-	}
-	return words
-}
-
-// unpackBits expands words back into n 0/1 bytes; nil if words is too short.
-func unpackBits(words []uint64, n int) []byte {
-	if len(words) < (n+63)/64 {
-		return nil
-	}
-	return unpackBitsInto(words, make([]byte, n))
-}
-
-// unpackBitsInto expands words into the supplied byte slice (whose length
-// selects the bit count); nil if words is too short.
-func unpackBitsInto(words []uint64, bits []byte) []byte {
-	if len(words) < (len(bits)+63)/64 {
-		return nil
-	}
-	for i := range bits {
-		bits[i] = byte(words[i/64] >> uint(i%64) & 1)
-	}
-	return bits
 }

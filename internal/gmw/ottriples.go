@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/circuit"
 	"repro/internal/ot"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -28,10 +27,19 @@ import (
 // default for simulation and OT preprocessing is an explicit opt-in
 // (core.TripleOT / eppi.WithOTPreprocessing).
 
-// GenTriplesOT runs the pairwise-OT preprocessing among all parties of
-// net and returns each party's triple shares. seed derives each party's
-// local randomness deterministically (use distinct seeds per run).
-func GenTriplesOT(net transport.Network, count int, seed int64) ([]PartyTriples, error) {
+// GenTriplesWideOT runs the pairwise-OT preprocessing among all parties
+// of net for count word-triples whose first lanes lanes are live: it
+// generates count·lanes scalar triples and packs lane k < lanes of
+// ordinal t from scalar ordinal t·lanes+k. The remaining lanes get the
+// all-zero triple (a = b = c = 0 at every party). That is a valid triple,
+// and it is safe exactly for padding lanes whose every wire value is
+// public: there the opened d = x ⊕ a and e = y ⊕ b disclose only public
+// values. OT preprocessing does not amortize across lanes — each live
+// lane's cross terms still need their own OTs — the wide win is the
+// online phase; this keeps the cost model honest, and a run with few live
+// lanes pays only for those. seed derives each party's local randomness
+// deterministically (use distinct seeds per run).
+func GenTriplesWideOT(net transport.Network, count, lanes int, seed int64) ([]WideTriples, error) {
 	n := net.Size()
 	if n < 2 {
 		return nil, fmt.Errorf("gmw: OT preprocessing needs >= 2 parties, got %d", n)
@@ -39,13 +47,16 @@ func GenTriplesOT(net transport.Network, count int, seed int64) ([]PartyTriples,
 	if count < 0 {
 		return nil, fmt.Errorf("gmw: negative triple count %d", count)
 	}
+	if lanes < 1 || lanes > WideLanes {
+		return nil, fmt.Errorf("gmw: %d live lanes, want 1..%d", lanes, WideLanes)
+	}
 	// The preprocessing span hangs under whatever span the caller attached
 	// to the network; it covers all n(n−1) pairwise OT sessions.
 	otSpan := transport.SpanOf(net).Child("gmw.ot_preprocess",
-		trace.Int("parties", n), trace.Int("triples", count))
+		trace.Int("parties", n), trace.Int("triples", count*lanes))
 	defer otSpan.End()
 	group := ot.DefaultGroup()
-	out := make([]PartyTriples, n)
+	out := make([]WideTriples, n)
 	errs := make([]error, n)
 	var failOnce sync.Once
 	var wg sync.WaitGroup
@@ -54,40 +65,47 @@ func GenTriplesOT(net transport.Network, count int, seed int64) ([]PartyTriples,
 		go func(p int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*6700417))
-			triples, err := otPartyRun(group, net.Node(p), count, rng)
+			a, b, c, err := otPartyRun(group, net.Node(p), count*lanes, rng)
 			if err != nil {
 				errs[p] = fmt.Errorf("party %d: %w", p, err)
 				failOnce.Do(func() { net.Close() })
 				return
 			}
-			out[p] = triples
+			out[p] = WideTriples{A: packLanes(a, lanes), B: packLanes(b, lanes), C: packLanes(c, lanes)}
 		}(p)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := transport.RootCause(errs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// otPartyRun executes one party's role in the preprocessing.
-func otPartyRun(group ot.Group, node transport.Node, count int, rng *rand.Rand) (PartyTriples, error) {
+// packLanes packs 0/1 bytes, lanes per word, into words whose lane k of
+// word t is bits[t·lanes+k]; lanes past the live ones stay zero.
+func packLanes(bits []byte, lanes int) []uint64 {
+	words := make([]uint64, len(bits)/lanes)
+	for i, bit := range bits {
+		words[i/lanes] |= uint64(bit&1) << uint(i%lanes)
+	}
+	return words
+}
+
+// otPartyRun executes one party's role in the preprocessing of count
+// scalar triples and returns its A, B and C shares as 0/1 bytes.
+func otPartyRun(group ot.Group, node transport.Node, count int, rng *rand.Rand) (a, b, c []byte, err error) {
 	n := node.Size()
 	id := node.ID()
-	pt := PartyTriples{
-		A: make([]byte, count),
-		B: make([]byte, count),
-		C: make([]byte, count),
-	}
+	a = make([]byte, count)
+	b = make([]byte, count)
+	c = make([]byte, count)
 	for t := 0; t < count; t++ {
-		pt.A[t] = byte(rng.Intn(2))
-		pt.B[t] = byte(rng.Intn(2))
-		pt.C[t] = pt.A[t] & pt.B[t]
+		a[t] = byte(rng.Intn(2))
+		b[t] = byte(rng.Intn(2))
+		c[t] = a[t] & b[t]
 	}
 	if count == 0 {
-		return pt, nil
+		return a, b, c, nil
 	}
 	coll := transport.NewCollector(node)
 
@@ -97,8 +115,8 @@ func otPartyRun(group ot.Group, node transport.Node, count int, rng *rand.Rand) 
 		pairs := make([][2][]byte, count)
 		for t := 0; t < count; t++ {
 			x := byte(rng.Intn(2))
-			pairs[t] = [2][]byte{{x}, {x ^ pt.A[t]}}
-			pt.C[t] ^= x
+			pairs[t] = [2][]byte{{x}, {x ^ a[t]}}
+			c[t] ^= x
 		}
 		seq := uint32(id*n + peer)
 		if err := ot.SendBatch(group, coll, peer, pairs, rng, seq); err != nil {
@@ -110,12 +128,12 @@ func otPartyRun(group ot.Group, node transport.Node, count int, rng *rand.Rand) 
 	// with b_t; our C share absorbs the received x ⊕ a_peer·b.
 	recvSession := func(peer int) error {
 		seq := uint32(peer*n + id)
-		got, err := ot.ReceiveBatch(group, coll, peer, pt.B[:count:count], rng, seq)
+		got, err := ot.ReceiveBatch(group, coll, peer, b[:count:count], rng, seq)
 		if err != nil {
 			return fmt.Errorf("OT recv from %d: %w", peer, err)
 		}
 		for t := 0; t < count; t++ {
-			pt.C[t] ^= got[t][0] & 1
+			c[t] ^= got[t][0] & 1
 		}
 		return nil
 	}
@@ -126,28 +144,16 @@ func otPartyRun(group ot.Group, node transport.Node, count int, rng *rand.Rand) 
 		if peer == id {
 			continue
 		}
+		first, second := recvSession, sendSession
 		if id < peer {
-			if err := sendSession(peer); err != nil {
-				return PartyTriples{}, err
-			}
-			if err := recvSession(peer); err != nil {
-				return PartyTriples{}, err
-			}
-		} else {
-			if err := recvSession(peer); err != nil {
-				return PartyTriples{}, err
-			}
-			if err := sendSession(peer); err != nil {
-				return PartyTriples{}, err
-			}
+			first, second = sendSession, recvSession
+		}
+		if err := first(peer); err != nil {
+			return nil, nil, nil, err
+		}
+		if err := second(peer); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	return pt, nil
-}
-
-// RunWithTriples evaluates circ like Run but with caller-provided triples
-// (e.g. from GenTriplesOT). triples[p] must hold at least the circuit's
-// AND-gate count for every party p.
-func RunWithTriples(net transport.Network, circ *circuit.Circuit, inputs [][]bool, triples []PartyTriples, seed int64) (*Result, error) {
-	return runCommon(net, circ, inputs, triples, seed)
+	return a, b, c, nil
 }

@@ -1,7 +1,6 @@
 package gmw
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -20,8 +19,8 @@ import (
 // AND-combination are single word operations, a NOT is a word complement
 // at party 0, and one Beaver word-triple serves all 64 instances of an
 // AND gate. Each AND layer broadcasts the d/e *words* directly — no
-// per-bit pack/unpack — so the message count, session count and round
-// count of 64 scalar executions collapse into one.
+// per-bit pack/unpack — so one message per peer opens a layer for every
+// instance.
 
 // WideLanes is the number of circuit instances evaluated per wide run.
 const WideLanes = 64
@@ -36,6 +35,19 @@ type WideTriples struct {
 // GenTriplesWide deals bit-sliced Beaver triples for `parties` parties and
 // `count` AND gates (one word-triple per gate, 64 lanes each) from rng.
 func GenTriplesWide(rng *rand.Rand, parties, count int) ([]WideTriples, error) {
+	out, err := newWideTriples(parties, count)
+	if err != nil {
+		return nil, err
+	}
+	for t := 0; t < count; t++ {
+		dealWideTriple(rng, out, t)
+	}
+	return out, nil
+}
+
+// newWideTriples validates a dealer request and allocates its zeroed
+// per-party word slices.
+func newWideTriples(parties, count int) ([]WideTriples, error) {
 	if parties < 2 || count < 0 {
 		return nil, fmt.Errorf("gmw: bad dealer request parties=%d count=%d", parties, count)
 	}
@@ -46,9 +58,6 @@ func GenTriplesWide(rng *rand.Rand, parties, count int) ([]WideTriples, error) {
 			B: make([]uint64, count),
 			C: make([]uint64, count),
 		}
-	}
-	for t := 0; t < count; t++ {
-		dealWideTriple(rng, out, t)
 	}
 	return out, nil
 }
@@ -74,8 +83,14 @@ func shareWordInto(rng *rand.Rand, v uint64, out []WideTriples, t int, sel func(
 	sel(&out[len(out)-1])[t] = v ^ acc
 }
 
-// tripleStreamWide labels the DeriveSeed stream of the sharded wide dealer
-// (distinct from the scalar dealer's stream so the two never collide).
+// tripleShard is the number of AND-gate ordinals dealt per derived RNG
+// stream in GenTriplesWideSharded. The value is a block-size / scheduling
+// trade-off only; changing it changes the dealt triples (they are a
+// function of (seed, shard)), so it is fixed as part of the deterministic
+// output contract.
+const tripleShard = 4096
+
+// tripleStreamWide labels the DeriveSeed stream of the sharded dealer.
 const tripleStreamWide uint64 = 0x77696465 // "wide"
 
 // GenTriplesWideSharded deals the same word-triples as GenTriplesWide but
@@ -84,18 +99,11 @@ const tripleStreamWide uint64 = 0x77696465 // "wide"
 // is a function of (seed, shard) only, hence bit-identical at any worker
 // count.
 func GenTriplesWideSharded(seed int64, parties, count, workers int) ([]WideTriples, error) {
-	if parties < 2 || count < 0 {
-		return nil, fmt.Errorf("gmw: bad dealer request parties=%d count=%d", parties, count)
+	out, err := newWideTriples(parties, count)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]WideTriples, parties)
-	for p := range out {
-		out[p] = WideTriples{
-			A: make([]uint64, count),
-			B: make([]uint64, count),
-			C: make([]uint64, count),
-		}
-	}
-	err := parallel.Blocks(workers, count, tripleShard, func(shard, lo, hi int) error {
+	err = parallel.Blocks(workers, count, tripleShard, func(shard, lo, hi int) error {
 		rng := rand.New(rand.NewSource(mathx.DeriveSeed(seed, tripleStreamWide, uint64(shard))))
 		for t := lo; t < hi; t++ {
 			dealWideTriple(rng, out, t)
@@ -104,48 +112,6 @@ func GenTriplesWideSharded(seed int64, parties, count, workers int) ([]WideTripl
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// GenTriplesWideOT runs the pairwise-OT preprocessing for count
-// word-triples whose first lanes lanes are live: it generates count·lanes
-// scalar triples over net and packs lane k < lanes of ordinal t from
-// scalar ordinal t·lanes+k. The remaining lanes get the all-zero triple
-// (a = b = c = 0 at every party). That is a valid triple, and it is safe
-// exactly for padding lanes whose every wire value is public: there the
-// opened d = x ⊕ a and e = y ⊕ b disclose only public values. OT
-// preprocessing does not amortize across lanes — each live lane's cross
-// terms still need their own OTs — the wide win is the online phase; this
-// keeps the cost model honest, and a ragged slab pays only for its live
-// lanes.
-func GenTriplesWideOT(net transport.Network, count, lanes int, seed int64) ([]WideTriples, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("gmw: negative triple count %d", count)
-	}
-	if lanes < 1 || lanes > WideLanes {
-		return nil, fmt.Errorf("gmw: %d live lanes, want 1..%d", lanes, WideLanes)
-	}
-	scalar, err := GenTriplesOT(net, count*lanes, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WideTriples, len(scalar))
-	for p, pt := range scalar {
-		wt := WideTriples{
-			A: make([]uint64, count),
-			B: make([]uint64, count),
-			C: make([]uint64, count),
-		}
-		for t := 0; t < count; t++ {
-			for k := 0; k < lanes; k++ {
-				i := t*lanes + k
-				wt.A[t] |= uint64(pt.A[i]&1) << uint(k)
-				wt.B[t] |= uint64(pt.B[i]&1) << uint(k)
-				wt.C[t] |= uint64(pt.C[i]&1) << uint(k)
-			}
-		}
-		out[p] = wt
 	}
 	return out, nil
 }
@@ -260,17 +226,8 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 		}(p)
 	}
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, transport.ErrClosed) && !errors.Is(err, transport.ErrClosed)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := transport.RootCause(errs); err != nil {
+		return nil, err
 	}
 	res := &WideResult{Rounds: rounds}
 	if keepShared {
@@ -289,7 +246,7 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 	after := net.Stats()
 	tm.rounds.Add(uint64(rounds))
 	tm.andLayers.Add(uint64(countAndLayers(circ)))
-	tm.triples.Add(uint64(andCount) * WideLanes)
+	tm.triples.Add(uint64(andCount))
 	res.Stats = transport.Stats{
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,

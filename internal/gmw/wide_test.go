@@ -1,122 +1,18 @@
 package gmw
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
-func TestGenTriplesWideInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, parties := range []int{2, 3, 7} {
-		triples, err := GenTriplesWide(rng, parties, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 0; tt < 50; tt++ {
-			var a, b, c uint64
-			for p := 0; p < parties; p++ {
-				a ^= triples[p].A[tt]
-				b ^= triples[p].B[tt]
-				c ^= triples[p].C[tt]
-			}
-			if a&b != c {
-				t.Fatalf("parties=%d word-triple %d: a&b != c", parties, tt)
-			}
-		}
-	}
-	if _, err := GenTriplesWide(rng, 1, 5); err == nil {
-		t.Error("parties=1 accepted")
-	}
-	if _, err := GenTriplesWide(rng, 3, -1); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
-// The sharded wide dealer must be bit-identical at any worker count and
-// still satisfy the triple invariant.
-func TestGenTriplesWideShardedDeterministic(t *testing.T) {
-	const parties, count = 3, 9000 // spans multiple 4096-word shards
-	one, err := GenTriplesWideSharded(77, parties, count, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := GenTriplesWideSharded(77, parties, count, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < parties; p++ {
-		for tt := 0; tt < count; tt++ {
-			if one[p].A[tt] != eight[p].A[tt] || one[p].B[tt] != eight[p].B[tt] || one[p].C[tt] != eight[p].C[tt] {
-				t.Fatalf("party %d ordinal %d differs between 1 and 8 workers", p, tt)
-			}
-		}
-	}
-	for tt := 0; tt < count; tt++ {
-		var a, b, c uint64
-		for p := 0; p < parties; p++ {
-			a ^= one[p].A[tt]
-			b ^= one[p].B[tt]
-			c ^= one[p].C[tt]
-		}
-		if a&b != c {
-			t.Fatalf("sharded word-triple %d invalid", tt)
-		}
-	}
-}
-
-// OT-backed wide triples: one scalar OT triple per live lane, packed
-// lane-wise; lanes past the live ones carry the all-zero triple.
-func TestGenTriplesWideOT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("public-key OT preprocessing is slow")
-	}
-	for _, lanes := range []int{WideLanes, 3} {
-		net, err := transport.NewInMem(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		triples, err := GenTriplesWideOT(net, 2, lanes, 5)
-		net.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dead := uint64(0)
-		if lanes < WideLanes {
-			dead = ^uint64(0) << uint(lanes)
-		}
-		for tt := 0; tt < 2; tt++ {
-			var a, b, c uint64
-			for p := range triples {
-				a ^= triples[p].A[tt]
-				b ^= triples[p].B[tt]
-				c ^= triples[p].C[tt]
-				if (triples[p].A[tt]|triples[p].B[tt]|triples[p].C[tt])&dead != 0 {
-					t.Fatalf("lanes=%d: party %d word-triple %d set a padding lane", lanes, p, tt)
-				}
-			}
-			if a&b != c {
-				t.Fatalf("lanes=%d: OT word-triple %d invalid", lanes, tt)
-			}
-		}
-	}
-	net, err := transport.NewInMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	for _, lanes := range []int{0, WideLanes + 1} {
-		if _, err := GenTriplesWideOT(net, 1, lanes, 5); err == nil {
-			t.Errorf("lanes=%d accepted", lanes)
-		}
-	}
-}
-
-// wideTestCircuit builds the same deep mixed circuit the scalar
-// equivalence test uses: adders, a comparison, an equality, word outputs.
+// wideTestCircuit builds a deep mixed circuit over three parties' 6-bit
+// inputs: adders, a comparison, an equality, word outputs.
 func wideTestCircuit(t testing.TB) *circuit.Circuit {
 	t.Helper()
 	const width = 6
@@ -158,96 +54,16 @@ func wideTestCircuit(t testing.TB) *circuit.Circuit {
 	return circ
 }
 
-// laneInputs extracts lane k of word-shaped inputs as per-party bools.
-func laneInputs(inputs [][]uint64, k int) [][]bool {
-	out := make([][]bool, len(inputs))
-	for p, words := range inputs {
-		out[p] = make([]bool, len(words))
-		for i, w := range words {
-			out[p][i] = w>>uint(k)&1 == 1
-		}
-	}
-	return out
-}
-
 // One wide run must equal 64 plaintext evaluations, lane for lane.
 func TestWideMatchesPlaintextLanes(t *testing.T) {
 	circ := wideTestCircuit(t)
-	rng := rand.New(rand.NewSource(12))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	net, err := transport.NewInMem(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	res, err := RunWide(net, circ, inputs, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inputs := randomInputs(rand.New(rand.NewSource(12)), circ, 3, WideLanes)
+	res := runInMem(t, 3, circ, inputs, 13)
 	if res.Rounds != 2+len(circ.AndRounds()) {
 		t.Fatalf("Rounds = %d, want %d", res.Rounds, 2+len(circ.AndRounds()))
 	}
-	for k := 0; k < WideLanes; k++ {
-		lane := laneInputs(inputs, k)
-		var flat []bool
-		for _, in := range circ.Inputs() {
-			flat = append(flat, lane[in.Party][0])
-			lane[in.Party] = lane[in.Party][1:]
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if got := res.Outputs[i]>>uint(k)&1 == 1; got != w {
-				t.Fatalf("lane %d output %d: wide=%v plain=%v", k, i, got, w)
-			}
-		}
-	}
-}
-
-// One sampled lane must also agree with a full scalar GMW execution — the
-// two protocol paths, not just the two evaluation semantics, coincide.
-func TestWideMatchesScalarProtocol(t *testing.T) {
-	circ := wideTestCircuit(t)
-	rng := rand.New(rand.NewSource(14))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	net, err := transport.NewInMem(3)
-	if err != nil {
+	if err := checkLanes(circ, inputs, res.Outputs, WideLanes); err != nil {
 		t.Fatal(err)
-	}
-	defer net.Close()
-	wide, err := RunWide(net, circ, inputs, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 17, 63} {
-		scalar := runInMem(t, 3, circ, laneInputs(inputs, k), 16+int64(k))
-		for i := range scalar.Outputs {
-			if got := wide.Outputs[i]>>uint(k)&1 == 1; got != scalar.Outputs[i] {
-				t.Fatalf("lane %d output %d: wide=%v scalar=%v", k, i, got, scalar.Outputs[i])
-			}
-		}
 	}
 }
 
@@ -255,18 +71,7 @@ func TestWideMatchesScalarProtocol(t *testing.T) {
 // the plaintext outputs.
 func TestWideSharedReconstructs(t *testing.T) {
 	circ := wideTestCircuit(t)
-	rng := rand.New(rand.NewSource(18))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
+	inputs := randomInputs(rand.New(rand.NewSource(18)), circ, 3, WideLanes)
 	triples, err := GenTriplesWideSharded(19, 3, circ.Stats().AndGates, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -295,25 +100,36 @@ func TestWideSharedReconstructs(t *testing.T) {
 			opened[i] ^= w
 		}
 	}
-	for k := 0; k < WideLanes; k++ {
-		lane := laneInputs(inputs, k)
-		var flat []bool
-		for _, in := range circ.Inputs() {
-			flat = append(flat, lane[in.Party][0])
-			lane[in.Party] = lane[in.Party][1:]
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if got := opened[i]>>uint(k)&1 == 1; got != w {
-				t.Fatalf("lane %d output %d: reconstructed=%v plain=%v", k, i, got, w)
-			}
-		}
+	if err := checkLanes(circ, inputs, opened, WideLanes); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// eppi_gmw_triples_used_total counts word-triples — one per AND gate per
+// run — whether one lane or all 64 carry data.
+func TestTriplesCounterCountsWordTriples(t *testing.T) {
+	circ := wideTestCircuit(t)
+	net, err := transport.NewInMem(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	reg := metrics.NewRegistry()
+	transport.Instrument(net, reg)
+	rng := rand.New(rand.NewSource(26))
+	for _, lanes := range []int{1, WideLanes} {
+		if _, err := RunWide(net, circ, randomInputs(rng, circ, 3, lanes), int64(lanes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := reg.Counter("eppi_gmw_triples_used_total", "").Value()
+	if want := uint64(2 * circ.Stats().AndGates); got != want {
+		t.Fatalf("triples_used_total = %d after two runs, want %d (AND gates × runs)", got, want)
+	}
+}
+
+// Every entry point applies the same shape checks: the shares-kept run
+// rejects bad inputs and bad triples before any traffic.
 func TestRunWideValidation(t *testing.T) {
 	b := circuit.NewBuilder()
 	x := b.Input(0)
@@ -330,120 +146,32 @@ func TestRunWideValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	if _, err := RunWide(net, circ, [][]uint64{{1}}, 1); err == nil {
-		t.Error("wrong party count accepted")
+	triples, err := GenTriplesWide(rand.New(rand.NewSource(1)), 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunWide(net, circ, [][]uint64{{1, 2}, {3}}, 1); err == nil {
-		t.Error("wrong per-party word count accepted")
+	if _, err := RunWideShared(net, circ, [][]uint64{{1}}, triples, 1); !errors.Is(err, ErrInputShape) {
+		t.Errorf("wrong party count: err = %v, want ErrInputShape", err)
 	}
-	short := []WideTriples{{}, {}}
-	if _, err := RunWideWithTriples(net, circ, [][]uint64{{1}, {2}}, short, 1); err == nil {
-		t.Error("short triples accepted")
+	if _, err := RunWideShared(net, circ, [][]uint64{{1}, {2}}, []WideTriples{{}, {}}, 1); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("short triples: err = %v, want ErrTripleShape", err)
+	}
+	if net.Stats().Messages != 0 {
+		t.Errorf("rejected runs sent %d messages", net.Stats().Messages)
 	}
 }
 
 // FuzzGMWWideEquivalence drives random circuits and random lane words —
 // including ragged slabs where only the low `active` lanes carry data —
-// through the wide evaluator and cross-checks every active lane against
-// plaintext evaluation, plus one lane against the scalar protocol.
+// through the wide evaluator and checks every active lane against
+// plaintext evaluation.
 func FuzzGMWWideEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64))
 	f.Add(int64(7), uint8(1))
 	f.Add(int64(42), uint8(37))
 	f.Fuzz(func(t *testing.T, seed int64, active uint8) {
-		lanes := int(active%64) + 1 // 1..64 active lanes (ragged slab model)
-		rng := rand.New(rand.NewSource(seed))
-		parties := 2 + rng.Intn(3)
-		b := circuit.NewBuilder()
-		pool := make([]circuit.Wire, 0, 40)
-		for p := 0; p < parties; p++ {
-			pool = append(pool, b.InputVec(p, 2+rng.Intn(3))...)
-		}
-		for g := 0; g < 25; g++ {
-			a := pool[rng.Intn(len(pool))]
-			c := pool[rng.Intn(len(pool))]
-			var w circuit.Wire
-			switch rng.Intn(4) {
-			case 0:
-				w = b.XOR(a, c)
-			case 1:
-				w = b.AND(a, c)
-			case 2:
-				w = b.NOT(a)
-			default:
-				w = b.OR(a, c)
-			}
-			if !w.IsConst() {
-				pool = append(pool, w)
-			}
-		}
-		outs := 0
-		for i := len(pool) - 1; i >= 0 && outs < 5; i-- {
-			if err := b.Output(pool[i]); err == nil {
-				outs++
-			}
-		}
-		if outs == 0 {
-			t.Skip("degenerate circuit with no outputs")
-		}
-		circ, err := b.Build()
-		if err != nil {
-			t.Skip("unbuildable circuit")
-		}
-		mask := ^uint64(0) >> uint(64-lanes)
-		inputs := make([][]uint64, parties)
-		nOwned := make([]int, parties)
-		for _, in := range circ.Inputs() {
-			nOwned[in.Party]++
-		}
-		for p := range inputs {
-			inputs[p] = make([]uint64, nOwned[p])
-			for i := range inputs[p] {
-				inputs[p][i] = rng.Uint64() & mask // padded lanes carry zeros
-			}
-		}
-		net, err := transport.NewInMem(parties)
-		if err != nil {
+		if err := randomCircuitMatchesPlaintext(seed, int(active%WideLanes)+1); err != nil {
 			t.Fatal(err)
-		}
-		defer net.Close()
-		wide, err := RunWide(net, circ, inputs, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < lanes; k++ {
-			lane := laneInputs(inputs, k)
-			cursor := make([]int, parties)
-			var flat []bool
-			for _, in := range circ.Inputs() {
-				flat = append(flat, lane[in.Party][cursor[in.Party]])
-				cursor[in.Party]++
-			}
-			want, err := circ.Evaluate(flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want {
-				if got := wide.Outputs[i]>>uint(k)&1 == 1; got != w {
-					t.Fatalf("lane %d/%d output %d: wide=%v plain=%v", k, lanes, i, got, w)
-				}
-			}
-		}
-		// Scalar protocol cross-check on one active lane.
-		k := rng.Intn(lanes)
-		snet, err := transport.NewInMem(parties)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer snet.Close()
-		scalar, err := Run(snet, circ, laneInputs(inputs, k), seed+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range scalar.Outputs {
-			if got := wide.Outputs[i]>>uint(k)&1 == 1; got != scalar.Outputs[i] {
-				t.Fatalf("lane %d output %d: wide=%v scalar=%v", k, i, got, scalar.Outputs[i])
-			}
 		}
 	})
 }
@@ -524,22 +252,7 @@ func TestWideFaultInjection(t *testing.T) {
 // The wide path must run identically over TCP.
 func TestWideOverTCP(t *testing.T) {
 	const width = 4
-	b := circuit.NewBuilder()
-	x := b.InputVec(0, width)
-	y := b.InputVec(1, width)
-	sum, err := b.Add(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range sum {
-		if err := b.Output(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	circ := adderCircuit(t, width)
 	net, err := transport.NewTCP(2)
 	if err != nil {
 		t.Fatal(err)
@@ -557,42 +270,19 @@ func TestWideOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < WideLanes; k++ {
-		var vx, vy uint64
-		for i := 0; i < width; i++ {
-			vx |= inputs[0][i] >> uint(k) & 1 << uint(i)
-			vy |= inputs[1][i] >> uint(k) & 1 << uint(i)
-		}
-		var got uint64
-		for i := 0; i < width; i++ {
-			got |= res.Outputs[i] >> uint(k) & 1 << uint(i)
-		}
+		vx, vy := laneValue(inputs[0], k), laneValue(inputs[1], k)
+		got := laneValue(res.Outputs[:width], k)
 		if want := (vx + vy) % (1 << width); got != want {
 			t.Fatalf("lane %d: %d+%d = %d over TCP, want %d", k, vx, vy, got, want)
 		}
 	}
 }
 
-// BenchmarkWideAdd32 is BenchmarkSecureAdd32's wide twin: the same 32-bit
-// adder, but 64 instances per execution. Comparing ns/op across the two
-// (÷64 for the wide per-instance cost) shows the SIMD win directly.
+// BenchmarkWideAdd32 evaluates 64 instances of a 32-bit adder per
+// execution (÷64 for the per-instance cost).
 func BenchmarkWideAdd32(b *testing.B) {
 	const width = 32
-	bld := circuit.NewBuilder()
-	x := bld.InputVec(0, width)
-	y := bld.InputVec(1, width)
-	sum, err := bld.Add(x, y)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range sum {
-		if err := bld.Output(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	circ, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	circ := adderCircuit(b, width)
 	rng := rand.New(rand.NewSource(25))
 	inputs := [][]uint64{make([]uint64, width), make([]uint64, width)}
 	for p := range inputs {

@@ -6,7 +6,7 @@
 // OT is the cryptographic root of GMW preprocessing: it lets two parties
 // compute XOR shares of a·b where one holds a and the other b, without
 // revealing either — which upgrades the gmw package's trusted triple
-// dealer to a real pairwise protocol (gmw.GenTriplesOT).
+// dealer to a real pairwise protocol (gmw.GenTriplesWideOT).
 //
 // Protocol, per batch of n transfers between a sender holding message
 // pairs (m0ᵗ, m1ᵗ) and a receiver holding choice bits σᵗ:

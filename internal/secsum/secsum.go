@@ -112,19 +112,8 @@ func Run(net transport.Network, scheme secretshare.Scheme, inputs [][]uint64, se
 		}(i)
 	}
 	wg.Wait()
-	// Report a real protocol error in preference to the cascade of
-	// closed-network errors it triggers.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, transport.ErrClosed) && !errors.Is(err, transport.ErrClosed)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := transport.RootCause(errs); err != nil {
+		return nil, err
 	}
 	after := net.Stats()
 	tm.rounds.Add(2)

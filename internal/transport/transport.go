@@ -96,6 +96,28 @@ func (m Message) wireSize() int {
 // ErrClosed is returned by Send/Recv on a closed node.
 var ErrClosed = errors.New("transport: node closed")
 
+// RootCause picks the error to report from a set of per-party (or
+// per-batch) results: the first non-nil error that is not an ErrClosed,
+// falling back to the first non-nil error. A failing party closes the
+// shared network so its peers abort instead of deadlocking, which turns
+// every peer still waiting into an ErrClosed victim of the real failure;
+// RootCause reports the failure, whichever index it sits at.
+func RootCause(errs []error) error {
+	var first error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ErrClosed) {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Node is one party's endpoint in a network of Size() parties with ids
 // 0..Size()-1.
 type Node interface {

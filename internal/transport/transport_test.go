@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -301,6 +303,29 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 		}
 		if _, err := net.Node(1).Recv(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// RootCause reports the first error that is not an ErrClosed cascade,
+// wherever it sits, and falls back to the first error.
+func TestRootCause(t *testing.T) {
+	closed := fmt.Errorf("party 0: recv: %w", ErrClosed)
+	real := errors.New("party 2: injected failure")
+	other := errors.New("party 3: bad message")
+	for _, tc := range []struct {
+		name string
+		errs []error
+		want error
+	}{
+		{"none", []error{nil, nil}, nil},
+		{"empty", nil, nil},
+		{"cause after victims", []error{closed, nil, real, other}, real},
+		{"cause first", []error{real, closed}, real},
+		{"only victims", []error{nil, closed, fmt.Errorf("again: %w", ErrClosed)}, closed},
+	} {
+		if got := RootCause(tc.errs); got != tc.want {
+			t.Errorf("%s: RootCause = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
