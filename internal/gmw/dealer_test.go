@@ -24,8 +24,22 @@ func checkInvariant(t *testing.T, triples []WideTriples, count int) {
 	}
 }
 
-// Both dealers satisfy the Beaver invariant in every lane.
+// The sharded dealer satisfies the Beaver invariant in every lane.
 func TestGenTriplesInvariant(t *testing.T) {
+	for _, parties := range []int{2, 3, 7} {
+		sharded, err := GenTriplesWideSharded(int64(parties), parties, 100, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sharded) != parties {
+			t.Fatalf("got %d party slices", len(sharded))
+		}
+		checkInvariant(t, sharded, 100)
+	}
+}
+
+// The rng-driven dealer satisfies the Beaver invariant in every lane.
+func TestGenTriplesWideInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, parties := range []int{2, 3, 7} {
 		triples, err := GenTriplesWide(rng, parties, 100)
@@ -36,11 +50,6 @@ func TestGenTriplesInvariant(t *testing.T) {
 			t.Fatalf("got %d party slices", len(triples))
 		}
 		checkInvariant(t, triples, 100)
-		sharded, err := GenTriplesWideSharded(int64(parties), parties, 100, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariant(t, sharded, 100)
 	}
 }
 
@@ -76,6 +85,39 @@ func TestGenTriplesShardedDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The sharded dealer's output is a function of its seed alone: the same
+// seed reproduces it at any worker count, and another seed changes it.
+func TestGenTriplesWideShardedDeterministic(t *testing.T) {
+	const parties, count = 3, tripleShard + 7
+	one, err := GenTriplesWideSharded(77, parties, count, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eight, err := GenTriplesWideSharded(77, parties, count, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := GenTriplesWideSharded(78, parties, count, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for p := 0; p < parties; p++ {
+		for tt := 0; tt < count; tt++ {
+			if one[p].A[tt] != eight[p].A[tt] || one[p].B[tt] != eight[p].B[tt] || one[p].C[tt] != eight[p].C[tt] {
+				t.Fatalf("party %d word-triple %d differs between 1 and 8 workers", p, tt)
+			}
+			if other[p].A[tt] != one[p].A[tt] {
+				same = false
+			}
+		}
+	}
+	if same {
+		t.Fatal("seeds 77 and 78 produced identical A shares")
+	}
+	checkInvariant(t, other, count)
 }
 
 func TestGenTriplesShardedValidation(t *testing.T) {
